@@ -14,6 +14,15 @@ The second route, :func:`dense_snf`, is a straightforward textbook
 Smith reduction of the full dense matrix; it shares no elimination code
 with the sparse route and serves as an oracle in the test suite.
 
+The sparse elimination also reports the rows it pivoted on, in pivot
+order; :func:`snf`, :func:`rank_z` and :func:`rank_mod_p` hand them on
+as a ``pivot_rows`` attribute of their (otherwise plain) result.
+:func:`homology`, :func:`betti_numbers` and :func:`relative_homology`
+reduce the boundary maps they need from the top degree down and use
+them for *clearing*: a k-face that was a pivot row of d_{k+1} is left
+out of d_k, which changes neither the column lattice of d_k nor its
+Smith form (see :func:`_boundary_ranks` for the argument).
+
 Membership of a cycle in the boundary lattice is decided without
 transform bookkeeping: a column vector lies in the column lattice of an
 integer matrix iff appending it changes neither the rank nor the
@@ -306,11 +315,19 @@ _EXACT_SNF = "snf"
 def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
     """Unit/invertible-pivot sparse elimination.
 
-    mode == _MOD_P:   returns the rank over F_p (p prime).
-    mode == _EXACT_RANK: returns (unit_rank, leftover_cols) where the
+    mode == _MOD_P:   returns the pivot rows; their number is the rank
+        over F_p (p prime).
+    mode == _EXACT_RANK: returns (pivot_rows, leftover_cols) where the
         leftover contains no +-1 entry; column gcds are divided out.
     mode == _EXACT_SNF: like _EXACT_RANK but gcd reduction is skipped,
         so the leftover's invariant factors complete those of the input.
+
+    ``pivot_rows`` lists the row of each pivot in pivot order, so its
+    length is the number of unit pivots.  Once a row is pivoted on, every
+    other column is cleared in it, so the pivot columns (as they stood
+    when chosen) restricted to the pivot rows form a triangular matrix
+    with unit diagonal; :func:`_boundary_ranks` relies on that to clear
+    the next boundary map down.
 
     Pivots are chosen by a Markowitz-flavoured heuristic: smallest
     column first, then the entry of smallest row occupancy (restricted
@@ -336,7 +353,7 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
     deferred: set[int] = set()
-    rank = 0
+    pivot_rows: list[int] = []
     while heap:
         nnz, j = heapq.heappop(heap)
         col = cols.get(j)
@@ -399,9 +416,8 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
                 deferred.discard(t)
                 heapq.heappush(heap, (len(tcol), t))
             else:
+                # each entry left rowocc as it was zeroed above
                 del cols[t]
-                for i in list(rowocc):
-                    rowocc[i].discard(t)
         # retire pivot row and column
         for i in col:
             occ = rowocc.get(i)
@@ -409,18 +425,33 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
                 occ.discard(j)
         rowocc.pop(r, None)
         del cols[j]
-        rank += 1
+        pivot_rows.append(r)
     if mode == _MOD_P:
-        return rank
+        return pivot_rows
     leftover = {j: col for j, col in cols.items() if col}
-    return rank, leftover
+    return pivot_rows, leftover
+
+
+class _Rank(int):
+    """A rank that also carries the sparse stage's ``pivot_rows``."""
+
+
+class _Factors(tuple):
+    """Invariant factors that also carry the sparse stage's ``pivot_rows``."""
+
+
+def _with_pivots(value, pivot_rows: list[int]):
+    out = _Factors(value) if isinstance(value, tuple) else _Rank(value)
+    out.pivot_rows = pivot_rows
+    return out
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank over the prime field F_p."""
+    """Rank over the prime field F_p, with ``pivot_rows`` attached."""
     if p < 2:
         raise ValueError("p must be a prime")
-    return _sparse_eliminate(matrix, _MOD_P, p)
+    pivot_rows = _sparse_eliminate(matrix, _MOD_P, p)
+    return _with_pivots(len(pivot_rows), pivot_rows)
 
 
 def _dense_fraction_rank(cols: dict[int, dict[int, int]]) -> int:
@@ -447,9 +478,13 @@ def _dense_fraction_rank(cols: dict[int, dict[int, int]]) -> int:
 
 
 def rank_z(matrix: SparseIntMatrix) -> int:
-    """Exact rank over Z (equivalently over Q)."""
-    units, leftover = _sparse_eliminate(matrix, _EXACT_RANK)
-    return units + _dense_fraction_rank(leftover)
+    """Exact rank over Z (equivalently over Q).
+
+    The result carries the unit-pivot rows of the sparse stage as
+    ``pivot_rows``; the dense remainder adds to the rank only.
+    """
+    pivot_rows, leftover = _sparse_eliminate(matrix, _EXACT_RANK)
+    return _with_pivots(len(pivot_rows) + _dense_fraction_rank(leftover), pivot_rows)
 
 
 def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
@@ -458,9 +493,10 @@ def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
     Unit pivots are split off sparsely; whatever remains (entries all of
     absolute value >= 2) is finished by the dense reduction.  The two
     stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
-    factors are the 1s followed by those of the leftover block.
+    factors are the 1s followed by those of the leftover block.  The
+    result carries the rows of those sparse unit pivots as ``pivot_rows``.
     """
-    units, leftover = _sparse_eliminate(matrix, _EXACT_SNF)
+    pivot_rows, leftover = _sparse_eliminate(matrix, _EXACT_SNF)
     rest: tuple[int, ...] = ()
     if leftover:
         rows_used = sorted({i for c in leftover.values() for i in c})
@@ -470,7 +506,7 @@ def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
             for i, v in col.items():
                 dense[rmap[i]][jj] = v
         rest = dense_snf(dense)
-    return (1,) * units + rest
+    return _with_pivots((1,) * len(pivot_rows) + rest, pivot_rows)
 
 
 def _snf_multiset(matrix: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -636,6 +672,66 @@ def _degree_list(complex_: SimplicialComplex, degrees, reduced: bool) -> list[in
     return sorted(set(int(d) for d in degrees))
 
 
+def _boundary_ranks(
+    complex_: SimplicialComplex,
+    ks: Iterable[int],
+    field: Union[None, int],
+    reduced: bool = True,
+    sub: Optional[SimplicialComplex] = None,
+) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Rank and torsion of the boundary maps d_k, k in ``ks``.
+
+    ``field`` is None for Smith forms over Z (rank and torsion), 0 for
+    ranks over Q and a prime p for ranks over F_p (torsion is then
+    empty).  Chains are those of the complex, augmented when
+    ``reduced``, or those of the pair (complex, sub), never augmented.
+
+    The maps are reduced from the highest degree down, and d_k is built
+    only on the k-faces that were not pivot rows of d_{k+1} in this
+    call (*clearing*, after Chen and Kerber).  This is exact.  Let C be
+    the pivot columns of d_{k+1}, as they stood when chosen: each is a
+    combination of columns of d_{k+1}, integral in the Smith mode, so
+    d_k C = 0.  Restricted to the pivot rows R, C is triangular with a
+    +-1 diagonal (a unit diagonal mod p), hence invertible over Z (over
+    F_p).  Splitting d_k C = 0 along R and the other rows N gives
+    d_k[:, R] = -d_k[:, N] C[N] C[R]^-1, so every dropped column is an
+    integer (F_p-) combination of the kept ones.  The column lattice
+    (space) of d_k is therefore unchanged, and with it its Smith form
+    (rank).  A map is computed only when ``ks`` asks for it, never just
+    to clear the one below.
+    """
+    faces_cache: dict[int, tuple] = {}
+
+    def faces(k: int) -> tuple:
+        if k not in faces_cache:
+            if sub is not None:
+                faces_cache[k] = _relative_faces(complex_, sub, k) if k >= 0 else ()
+            else:
+                faces_cache[k] = complex_.faces(k) if reduced or k >= 0 else ()
+        return faces_cache[k]
+
+    out: dict[int, tuple[int, tuple[int, ...]]] = {}
+    cleared: set[int] = set()  # k-faces that were pivot rows of d_{k+1}
+    for k in sorted(set(ks), reverse=True):
+        if k + 1 not in out:
+            cleared = set()
+        cols, rows = faces(k), faces(k - 1)
+        if cleared:
+            cols = tuple(f for i, f in enumerate(cols) if i not in cleared)
+        if not cols or not rows:
+            out[k], cleared = (0, ()), set()
+            continue
+        mat = boundary_matrix(complex_, k, rows=None if sub is None else rows, cols=cols)
+        if field is None:
+            result = snf(mat)
+            out[k] = len(result), tuple(f for f in result if f > 1)
+        else:
+            result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
+            out[k] = int(result), ()
+        cleared = set(result.pivot_rows)
+    return out
+
+
 def homology(
     complex_: SimplicialComplex,
     degrees=None,
@@ -662,46 +758,17 @@ def homology(
         if coefficients is not None:
             raise ValueError("generators are only computed over Z")
         return _homology_with_generators(complex_, degs, reduced)
-    rank_cache: dict[int, int] = {}
-    tors_cache: dict[int, tuple[int, ...]] = {}
-
-    def boundary_rank_and_torsion(k: int) -> tuple[int, tuple[int, ...]]:
-        # rank and torsion contribution of the boundary map C_k -> C_{k-1}
-        if k in rank_cache:
-            return rank_cache[k], tors_cache[k]
-        nk = len(complex_.faces(k))
-        nk1 = len(complex_.faces(k - 1)) if (reduced or k - 1 >= 0) else 0
-        if nk == 0 or nk1 == 0:
-            rank_cache[k], tors_cache[k] = 0, ()
-            return 0, ()
-        mat = boundary_matrix(complex_, k)
-        if coefficients is None:
-            factors = snf(mat)
-            rank_cache[k] = len(factors)
-            tors_cache[k] = tuple(f for f in factors if f > 1)
-        else:
-            rank_cache[k] = rank_mod_p(mat, coefficients)
-            tors_cache[k] = ()
-        return rank_cache[k], tors_cache[k]
-
-    groups: dict[int, AbelianGroup] = {}
-    for k in degs:
-        if k < -1 or k > complex_.dim:
-            groups[k] = TRIVIAL_GROUP
-            continue
-        nk = len(complex_.faces(k))
-        if nk == 0:
-            groups[k] = TRIVIAL_GROUP
-            continue
-        if k == -1 and not reduced:
-            groups[k] = TRIVIAL_GROUP
-            continue
-        if k == 0 and not reduced:
-            rk = 0
-        else:
-            rk, _ = boundary_rank_and_torsion(k)
-        rk1, tors = boundary_rank_and_torsion(k + 1)
-        groups[k] = AbelianGroup(nk - rk - rk1, tors)
+    if coefficients is not None and coefficients < 2:
+        raise ValueError("coefficients must be None or a prime")
+    lo = -1 if reduced else 0
+    wanted = [k for k in degs if lo <= k <= complex_.dim and complex_.faces(k)]
+    ranks = _boundary_ranks(
+        complex_, {d for k in wanted for d in (k, k + 1)}, coefficients, reduced
+    )
+    groups: dict[int, AbelianGroup] = {k: TRIVIAL_GROUP for k in degs}
+    for k in wanted:
+        rk1, tors = ranks[k + 1]
+        groups[k] = AbelianGroup(len(complex_.faces(k)) - ranks[k][0] - rk1, tors)
     return HomologyResult(groups, coefficients)
 
 
@@ -719,29 +786,13 @@ def betti_numbers(
     """
     if complex_.is_void:
         return {}
-    out: dict[int, int] = {}
-    ranks: dict[int, int] = {}
-
-    def rk(k: int) -> int:
-        if k not in ranks:
-            nk = len(complex_.faces(k))
-            nk1 = len(complex_.faces(k - 1))
-            if nk == 0 or nk1 == 0:
-                ranks[k] = 0
-            else:
-                mat = boundary_matrix(complex_, k)
-                ranks[k] = rank_z(mat) if p == 0 else rank_mod_p(mat, p)
-        return ranks[k]
-
     lo = -1 if reduced else 0
     hi = complex_.dim if through is None else min(through, complex_.dim)
-    for k in range(lo, hi + 1):
-        nk = len(complex_.faces(k))
-        if not reduced and k == 0:
-            out[k] = nk - rk(1)
-        else:
-            out[k] = nk - rk(k) - rk(k + 1)
-    return out
+    ranks = _boundary_ranks(complex_, range(lo, hi + 2), p, reduced)
+    return {
+        k: len(complex_.faces(k)) - ranks[k][0] - ranks[k + 1][0]
+        for k in range(lo, hi + 1)
+    }
 
 
 def homological_connectivity(
@@ -794,37 +845,14 @@ def relative_homology(
         if degrees is None
         else _degree_list(complex_, degrees, reduced=False)
     )
-    faces_cache: dict[int, tuple] = {}
-
-    def rel_faces(k: int) -> tuple:
-        if k not in faces_cache:
-            faces_cache[k] = _relative_faces(complex_, sub, k) if k >= 0 else ()
-        return faces_cache[k]
-
-    rank_cache: dict[int, int] = {}
-    tors_cache: dict[int, tuple[int, ...]] = {}
-
-    def rel_rank(k: int) -> tuple[int, tuple[int, ...]]:
-        if k not in rank_cache:
-            rows, cols = rel_faces(k - 1), rel_faces(k)
-            if not rows or not cols:
-                rank_cache[k], tors_cache[k] = 0, ()
-            else:
-                mat = boundary_matrix(complex_, k, rows=rows, cols=cols)
-                factors = snf(mat)
-                rank_cache[k] = len(factors)
-                tors_cache[k] = tuple(f for f in factors if f > 1)
-        return rank_cache[k], tors_cache[k]
-
+    ranks = _boundary_ranks(
+        complex_, {d for k in degs for d in (k, k + 1)}, None, sub=sub
+    )
     groups: dict[int, AbelianGroup] = {}
     for k in degs:
-        nk = len(rel_faces(k))
-        if nk == 0:
-            groups[k] = TRIVIAL_GROUP
-            continue
-        rk, _ = rel_rank(k)
-        rk1, tors = rel_rank(k + 1)
-        groups[k] = AbelianGroup(nk - rk - rk1, tors)
+        nk = len(complex_.faces(k)) - len(sub.faces(k)) if k >= 0 else 0
+        rk1, tors = ranks[k + 1]
+        groups[k] = AbelianGroup(nk - ranks[k][0] - rk1, tors)
     return HomologyResult(groups)
 
 
