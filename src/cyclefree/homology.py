@@ -10,9 +10,11 @@ degree -1, so the complex whose only face is the empty one has
 Two independent computation routes are provided on purpose.  The
 workhorse is a sparse integer elimination with unit-pivot (Markowitz
 style) preprocessing feeding a small dense Smith normal form remainder.
-The second route, :func:`dense_snf`, is a straightforward textbook
-Smith reduction of the full dense matrix; it shares no elimination code
-with the sparse route and serves as an oracle in the test suite.
+The second route, :func:`dense_snf`, runs the one dense Smith routine
+(vectorised rank-1 updates on numpy object arrays) on the full matrix;
+it shares no elimination code with the sparse route and serves as an
+oracle in the test suite.  The same dense routine finishes the sparse
+route's leftover block and, tracking transforms, builds presentations.
 
 The sparse elimination also reports the rows it pivoted on, in pivot
 order; :func:`snf`, :func:`rank_z` and :func:`rank_mod_p` hand them on
@@ -33,8 +35,7 @@ the index of the smaller lattice).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, prod
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -454,27 +455,15 @@ def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     return _with_pivots(len(pivot_rows), pivot_rows)
 
 
-def _dense_fraction_rank(cols: dict[int, dict[int, int]]) -> int:
-    """Exact rank of a small leftover block, by fraction elimination."""
-    if not cols:
-        return 0
-    rows_used = sorted({i for c in cols.values() for i in c})
-    dense = [
-        [Fraction(c.get(r, 0)) for r in rows_used] for c in cols.values()
-    ]  # columns as rows of the working array; rank is symmetric
-    rank = 0
-    for pivot_col in range(len(rows_used)):
-        pr = next((i for i in range(rank, len(dense)) if dense[i][pivot_col]), None)
-        if pr is None:
-            continue
-        dense[rank], dense[pr] = dense[pr], dense[rank]
-        pv = dense[rank][pivot_col]
-        for i in range(len(dense)):
-            if i != rank and dense[i][pivot_col]:
-                f = dense[i][pivot_col] / pv
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[rank])]
-        rank += 1
-    return rank
+def _leftover_block(leftover: dict[int, dict[int, int]]) -> np.ndarray:
+    """The sparse stage's leftover columns as a dense array on their rows."""
+    rows_used = sorted({i for c in leftover.values() for i in c})
+    rmap = {r: i for i, r in enumerate(rows_used)}
+    dense = np.zeros((len(rows_used), len(leftover)), dtype=object)
+    for jj, col in enumerate(leftover.values()):
+        for i, v in col.items():
+            dense[rmap[i], jj] = v
+    return dense
 
 
 def rank_z(matrix: SparseIntMatrix) -> int:
@@ -484,7 +473,8 @@ def rank_z(matrix: SparseIntMatrix) -> int:
     ``pivot_rows``; the dense remainder adds to the rank only.
     """
     pivot_rows, leftover = _sparse_eliminate(matrix, _EXACT_RANK)
-    return _with_pivots(len(pivot_rows) + _dense_fraction_rank(leftover), pivot_rows)
+    rest = len(dense_snf(_leftover_block(leftover))) if leftover else 0
+    return _with_pivots(len(pivot_rows) + rest, pivot_rows)
 
 
 def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
@@ -497,15 +487,7 @@ def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
     result carries the rows of those sparse unit pivots as ``pivot_rows``.
     """
     pivot_rows, leftover = _sparse_eliminate(matrix, _EXACT_SNF)
-    rest: tuple[int, ...] = ()
-    if leftover:
-        rows_used = sorted({i for c in leftover.values() for i in c})
-        rmap = {r: i for i, r in enumerate(rows_used)}
-        dense = [[0] * len(leftover) for _ in rows_used]
-        for jj, col in enumerate(leftover.values()):
-            for i, v in col.items():
-                dense[rmap[i]][jj] = v
-        rest = dense_snf(dense)
+    rest = dense_snf(_leftover_block(leftover)) if leftover else ()
     return _with_pivots((1,) * len(pivot_rows) + rest, pivot_rows)
 
 
@@ -534,87 +516,133 @@ def in_column_space_mod_p(matrix: SparseIntMatrix, col: Mapping[int, int], p: in
 
 
 # ---------------------------------------------------------------------------
-# dense Smith normal form (oracle route)
+# dense Smith normal form (oracle route, leftover blocks, presentations)
+
+
+def _smith(a, left: bool = False, right: bool = False):
+    """Smith normal form of a dense integer matrix, by numpy rank-1 updates.
+
+    Returns ``(factors, u, uinv, v, vinv)``.  ``factors`` are the nonzero
+    invariant factors d_1 | d_2 | ..., all positive.  With ``left``
+    (``right``) the unimodular transforms u, uinv (v, vinv) are tracked:
+    ``u @ a @ v`` is diagonal with ``factors`` leading its diagonal, and
+    ``uinv``, ``vinv`` are the inverses.  Untracked ones are None.  The
+    input is not modified; arrays have dtype object, so arithmetic stays
+    exact.
+
+    Each pivot is a smallest nonzero entry of the remaining block: its
+    first +-1 row by row, read off a boolean mask of the +-1 entries that
+    every update keeps current, and only failing that a least nonzero
+    entry.  Row and column steps subtract outer products, restricted to
+    the nonzero rows and columns of the pivot column and row; remainders
+    left behind become the next, smaller pivot.  A pivot of absolute
+    value 1 divides everything.  Any other pivot is checked against the
+    rest of the block, and a row it does not divide is added to the
+    pivot row before reducing again, which keeps the diagonal a divisor
+    chain.  Shares no code with the sparse elimination, so it can serve
+    as its oracle.
+    """
+    a = np.array(a, dtype=object)
+    m, n = a.shape
+    u = uinv = v = vinv = None
+    if left:
+        u, uinv = np.eye(m, dtype=object), np.eye(m, dtype=object)
+    if right:
+        v, vinv = np.eye(n, dtype=object), np.eye(n, dtype=object)
+
+    unit = np.abs(a) == 1  # where a has a +-1 entry, kept up to date
+
+    def update(ix, delta):  # a[ix] -= delta
+        a[ix] = block = a[ix] - delta
+        unit[ix] = np.abs(block) == 1
+
+    def row_op(dst, src, q):  # a[dst] -= q (x) a[src], src not in dst
+        nz = np.flatnonzero(a[src])
+        update(np.ix_(dst, nz), np.outer(q, a[src, nz]))
+        if left:
+            nz = np.flatnonzero(u[src])
+            u[np.ix_(dst, nz)] -= np.outer(q, u[src, nz])
+            uinv[:, src] += uinv[:, dst] @ q
+
+    def col_op(dst, src, p):  # a[:, dst] -= a[:, src] (x) p, src not in dst
+        nz = np.flatnonzero(a[:, src])
+        update(np.ix_(nz, dst), np.outer(a[nz, src], p))
+        if right:
+            nz = np.flatnonzero(v[:, src])
+            v[np.ix_(nz, dst)] -= np.outer(v[nz, src], p)
+            vinv[src, :] += p @ vinv[dst, :]
+
+    def to_pivot(t, i, j):  # move entry (i, j) to (t, t)
+        if i != t:
+            for x in (a, unit) + ((u,) if left else ()):
+                x[[t, i], :] = x[[i, t], :]
+            if left:
+                uinv[:, [t, i]] = uinv[:, [i, t]]
+        if j != t:
+            for x in (a, unit) + ((v,) if right else ()):
+                x[:, [t, j]] = x[:, [j, t]]
+            if right:
+                vinv[[t, j], :] = vinv[[j, t], :]
+
+    def smallest(t):  # position of a least nonzero |entry| in the block
+        k = int(np.argmax(unit[t:, t:]))  # first +-1, row by row
+        i, j = divmod(k, n - t)
+        if unit[t + i, t + j]:
+            return t + i, t + j
+        ii, jj = np.nonzero(a[t:, t:])
+        if not len(ii):
+            return None
+        k = int(np.argmin(np.abs(a[ii + t, jj + t])))
+        return int(ii[k]) + t, int(jj[k]) + t
+
+    factors: list[int] = []
+    t = 0
+    while t < m and t < n:
+        at = smallest(t)
+        if at is None:
+            break
+        to_pivot(t, *at)
+        while True:
+            piv = a[t, t]
+            below = np.flatnonzero(a[t + 1:, t]) + t + 1
+            if len(below):
+                row_op(below, t, a[below, t] // piv)
+            right_of = np.flatnonzero(a[t, t + 1:]) + t + 1
+            if len(right_of):
+                col_op(right_of, t, a[t, right_of] // piv)
+            if piv in (1, -1):
+                break
+            rest = [(abs(a[i, t]), i, t) for i in below if a[i, t]]
+            rest += [(abs(a[t, j]), t, j) for j in right_of if a[t, j]]
+            if rest:  # remainders, all smaller than the pivot
+                _, i, j = min(rest)
+                to_pivot(t, int(i), int(j))
+                continue
+            bad = np.flatnonzero((a[t + 1:, t + 1:] % piv != 0).any(axis=1))
+            if not len(bad):
+                break
+            row_op(np.array([t]), int(bad[0]) + t + 1, np.array([-1], dtype=object))
+        if a[t, t] < 0:
+            a[t, :] = -a[t, :]
+            if left:
+                u[t, :] = -u[t, :]
+                uinv[:, t] = -uinv[:, t]
+        factors.append(int(a[t, t]))
+        t += 1
+    return factors, u, uinv, v, vinv
 
 
 def dense_snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Textbook Smith normal form of a dense integer matrix.
+    """Smith normal form of a dense integer matrix.
 
     Returns the positive invariant factors d_1 | d_2 | ... .  Kept free
     of any sparse-elimination code on purpose: this is the oracle the
-    optimized route is checked against.
+    sparse route is checked against.
     """
     a = np.array(rows, dtype=object)
     if a.size == 0:
         return ()
-    m, n = a.shape
-    factors: list[int] = []
-    t = 0
-    while t < m and t < n:
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        # smallest nonzero entry to the pivot position
-        vals = np.abs(sub[nz])
-        k = int(np.argmin(vals))
-        i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-        if i0 != t:
-            a[[t, i0], :] = a[[i0, t], :]
-        if j0 != t:
-            a[:, [t, j0]] = a[:, [j0, t]]
-        while True:
-            piv = a[t, t]
-            done = True
-            for i in range(t + 1, m):
-                if a[i, t] % piv:
-                    done = False
-            for j in range(t + 1, n):
-                if a[t, j] % piv:
-                    done = False
-            if done:
-                for i in range(t + 1, m):
-                    if a[i, t]:
-                        a[i, :] -= (a[i, t] // piv) * a[t, :]
-                for j in range(t + 1, n):
-                    if a[t, j]:
-                        a[:, j] -= (a[t, j] // piv) * a[:, t]
-                if np.count_nonzero(a[t + 1:, t]) or np.count_nonzero(a[t, t + 1:]):
-                    continue  # remainders appeared; reduce again
-                break
-            # replace entries by remainders to shrink the pivot
-            for i in range(t + 1, m):
-                if a[i, t] % piv:
-                    a[i, :] -= (a[i, t] // piv) * a[t, :]
-            for j in range(t + 1, n):
-                if a[t, j] % piv:
-                    a[:, j] -= (a[t, j] // piv) * a[:, t]
-            sub = a[t:, t:]
-            nz = np.nonzero(sub)
-            vals = np.abs(sub[nz])
-            k = int(np.argmin(vals))
-            i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-            if i0 != t:
-                a[[t, i0], :] = a[[i0, t], :]
-            if j0 != t:
-                a[:, [t, j0]] = a[:, [j0, t]]
-        # pivot must divide the rest of the matrix for the divisor chain
-        piv = a[t, t]
-        bad = None
-        for i in range(t + 1, m):
-            row = a[i, t + 1:]
-            for j in range(t + 1, n):
-                if a[i, j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[t, :] += a[bad, :]
-            continue
-        factors.append(abs(int(piv)))
-        t += 1
-    return tuple(factors)
+    return tuple(_smith(a)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -895,90 +923,7 @@ def is_boundary(
 
 
 # ---------------------------------------------------------------------------
-# dense SNF with transforms, presentations, induced maps
-
-
-def _snf_transforms(a: np.ndarray):
-    """Full Smith reduction with unimodular transforms.
-
-    Returns (d, U, Uinv, V, Vinv) with U a Vinv... precisely:
-    U @ A @ V = D (diagonal, divisor chain), A = Uinv @ D @ Vinv.
-    Arrays use dtype=object so arithmetic stays exact.
-    """
-    a = a.copy()
-    m, n = a.shape
-    u = np.eye(m, dtype=object)
-    uinv = np.eye(m, dtype=object)
-    v = np.eye(n, dtype=object)
-    vinv = np.eye(n, dtype=object)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i, :] -= q * a[j, :]
-        u[i, :] -= q * u[j, :]
-        uinv[:, j] += q * uinv[:, i]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        a[:, i] -= q * a[:, j]
-        v[:, i] -= q * v[:, j]
-        vinv[j, :] += q * vinv[i, :]
-
-    def row_swap(i, j):
-        a[[i, j], :] = a[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-        uinv[:, [i, j]] = uinv[:, [j, i]]
-
-    def col_swap(i, j):
-        a[:, [i, j]] = a[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-        vinv[[i, j], :] = vinv[[j, i], :]
-
-    t = 0
-    while t < m and t < n:
-        sub = a[t:, t:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
-            break
-        vals = np.abs(sub[nz])
-        k = int(np.argmin(vals))
-        i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-        row_swap(t, i0)
-        col_swap(t, j0)
-        clean = False
-        while not clean:
-            piv = a[t, t]
-            for i in range(t + 1, m):
-                if a[i, t]:
-                    row_op(i, t, a[i, t] // piv)
-            for j in range(t + 1, n):
-                if a[t, j]:
-                    col_op(j, t, a[t, j] // piv)
-            if np.count_nonzero(a[t + 1:, t]) or np.count_nonzero(a[t, t + 1:]):
-                # remainders survived: a smaller pivot appeared
-                sub = a[t:, t:]
-                nz = np.nonzero(sub)
-                vals = np.abs(sub[nz])
-                k = int(np.argmin(vals))
-                i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-                row_swap(t, i0)
-                col_swap(t, j0)
-                continue
-            clean = True
-            piv = a[t, t]
-            for i in range(t + 1, m):
-                bad = next((j for j in range(t + 1, n) if a[i, j] % piv), None)
-                if bad is not None:
-                    row_op(t, i, -1)  # pull the offending row up
-                    clean = False
-                    break
-        t += 1
-    if a[:t, :].size:
-        for i in range(t):
-            if a[i, i] < 0:
-                a[i, :] = -a[i, :]
-                u[i, :] = -u[i, :]
-                uinv[:, i] = -uinv[:, i]
-    d = [int(a[i, i]) for i in range(min(m, n))]
-    return d, u, uinv, v, vinv
+# presentations, induced maps
 
 
 class Presentation:
@@ -992,92 +937,69 @@ class Presentation:
 
     def __init__(self, complex_: SimplicialComplex, degree: int, reduced: bool = True):
         self.complex = complex_
-        self.degree = degree
-        k = degree
+        self.degree = k = degree
         faces_k = complex_.faces(k)
         nk = len(faces_k)
-        rows = complex_.faces(k - 1) if reduced else (complex_.faces(k - 1) if k - 1 >= 0 else ())
-        a_mat = boundary_matrix(complex_, k)
-        a = np.zeros((max(len(rows), 1), max(nk, 1)), dtype=object) if nk else np.zeros((1, 1), dtype=object)
-        for j, col in a_mat.cols.items():
-            for i, val in col.items():
-                a[i, j] = val
-        if not rows:
-            a = np.zeros((1, max(nk, 1)), dtype=object)
-        d_a, _, _, v_a, vinv_a = _snf_transforms(a)
-        rank_a = sum(1 for x in d_a if x)
-        kernel_idx = [i for i in range(nk) if i >= len(d_a) or not d_a[i]]
-        # columns of V at kernel_idx form a basis of the integer kernel lattice
-        self._v = v_a
-        self._vinv = vinv_a
-        self._kernel_idx = kernel_idx
-        s = len(kernel_idx)
-        b_mat = boundary_matrix(complex_, k + 1)
-        nb = len(complex_.faces(k + 1))
-        c = np.zeros((s, max(nb, 1)), dtype=object)
-        for j in range(nb):
-            col = b_mat.cols.get(j, {})
-            vec = np.zeros(nk, dtype=object)
-            for i, val in col.items():
-                vec[i] = val
-            w = vinv_a @ vec if nk else vec
-            for t_i, ki in enumerate(kernel_idx):
-                c[t_i, j] = w[ki]
-        d_c, u_c, uinv_c, _, _ = _snf_transforms(c) if s else ([], np.eye(0, dtype=object), np.eye(0, dtype=object), None, None)
-        self._u_c = u_c
-        orders = []
-        for i in range(s):
-            orders.append(d_c[i] if i < len(d_c) else 0)
-        # generator i of the cokernel is Kb @ Uinv_c column i, of order orders[i]
-        gens = []
-        kb = self._kernel_basis_matrix(nk)
-        for i in range(s):
-            if orders[i] == 1:
-                continue
-            col = kb @ uinv_c[:, i]
-            chain = Chain(
-                {faces_k[j]: int(col[j]) for j in range(nk) if col[j]},
-                degree=k,
+        # d_k; unreduced chains have nothing in degree -1
+        rows = len(complex_.faces(k - 1)) if reduced or k >= 1 else 0
+        a = np.zeros((rows, nk), dtype=object)
+        if rows:
+            for j, col in boundary_matrix(complex_, k).cols.items():
+                for i, val in col.items():
+                    a[i, j] = val
+        factors_a, _, _, v, vinv = _smith(a, right=True)
+        # u a v = D with r nonzero diagonal entries: the last s columns of
+        # v are a basis of the cycles, and vinv @ z holds a cycle z's
+        # coordinates in that basis below r zeros
+        r = len(factors_a)
+        s = nk - r
+        # d_{k+1} in cycle coordinates: c[:, j] = vinv[r:] @ column j
+        b = boundary_matrix(complex_, k + 1)
+        c = np.zeros((s, b.ncols), dtype=object)
+        cyc = vinv[r:]
+        for j, col in b.cols.items():
+            c[:, j] = cyc[:, list(col)] @ np.array(list(col.values()), dtype=object)
+        factors_c, u_c, uinv_c, _, _ = _smith(c, left=True)
+        orders = factors_c + [0] * (s - len(factors_c))
+        # generator i of the cokernel is V[:, r:] @ uinv_c[:, i], of order orders[i]
+        keep = [i for i, o in enumerate(orders) if o != 1]
+        gen_cols = v[:, r:] @ uinv_c[:, keep]
+        self.generators = tuple(
+            (
+                Chain({faces_k[j]: int(x) for j, x in enumerate(gen_cols[:, t]) if x}, degree=k),
+                orders[i],
             )
-            gens.append((chain, int(orders[i])))
-        self._all_orders = orders
-        self.generators = tuple(gens)
+            for t, i in enumerate(keep)
+        )
         self.group = AbelianGroup(
             sum(1 for o in orders if o == 0),
             [o for o in orders if o > 1],
         )
-        self._faces_k = faces_k
-
-    def _kernel_basis_matrix(self, nk: int):
-        kb = np.zeros((nk, len(self._kernel_idx)), dtype=object)
-        for t_i, ki in enumerate(self._kernel_idx):
-            kb[:, t_i] = self._v[:, ki]
-        return kb
+        self._vinv = vinv
+        self._rank = r
+        self._u_c = u_c
+        self._all_orders = orders
 
     def class_of(self, chain: Chain) -> tuple[int, ...]:
         """Coordinates of a cycle's class over the nontrivial generators."""
         if chain.degree != self.degree:
             raise ValueError("chain degree does not match the presentation")
-        nk = len(self._faces_k)
         index = self.complex.face_index(self.degree)
-        vec = np.zeros(nk, dtype=object)
+        idx, vals = [], []
         for face, cval in chain.items():
             if face not in index:
                 raise ValueError(f"chain uses a face outside the complex: {face}")
-            vec[index[face]] = cval
-        w = self._vinv @ vec
-        coords = np.zeros(len(self._kernel_idx), dtype=object)
-        for t_i, ki in enumerate(self._kernel_idx):
-            coords[t_i] = w[ki]
-        if any(w[i] for i in range(nk) if i not in set(self._kernel_idx)):
+            idx.append(index[face])
+            vals.append(cval)
+        w = self._vinv[:, idx] @ np.array(vals, dtype=object)
+        if np.count_nonzero(w[: self._rank]):
             raise ValueError("chain is not a cycle")
-        cc = self._u_c @ coords if len(coords) else coords
-        out = []
-        for i, o in enumerate(self._all_orders):
-            if o == 1:
-                continue
-            out.append(int(cc[i] % o) if o else int(cc[i]))
-        return tuple(out)
+        cc = self._u_c @ w[self._rank:]
+        return tuple(
+            int(cc[i] % o) if o else int(cc[i])
+            for i, o in enumerate(self._all_orders)
+            if o != 1
+        )
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -1107,7 +1029,9 @@ class InducedMap:
 
     ``matrix[i][j]`` is the i-th coordinate (in the codomain's generator
     basis, orders in ``codomain_orders``, 0 meaning infinite) of the
-    image of the j-th domain generator.
+    image of the j-th domain generator.  ``codomain_presentation`` is the
+    presentation those coordinates refer to, for ``class_of`` on further
+    cycles of the ambient complex.
     """
 
     degree: int
@@ -1116,6 +1040,7 @@ class InducedMap:
     matrix: tuple[tuple[int, ...], ...]
     domain_orders: tuple[int, ...]
     codomain_orders: tuple[int, ...]
+    codomain_presentation: Presentation = field(compare=False, repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -1171,6 +1096,7 @@ def induced_map(
         domain=dom.group,
         codomain=cod.group,
         matrix=matrix,
-        domain_orders=tuple(o for o in dom.orders),
-        codomain_orders=tuple(o for o in cod.orders),
+        domain_orders=dom.orders,
+        codomain_orders=cod.orders,
+        codomain_presentation=cod,
     )

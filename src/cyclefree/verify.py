@@ -44,7 +44,6 @@ from .generators import fundamental_cycle, odd_sphere, tight_sphere, two_sphere
 from .homology import (
     AbelianGroup,
     HomologyResult,
-    Presentation,
     betti_numbers,
     boundary_matrix,
     dense_snf,
@@ -282,8 +281,7 @@ def _exec_connectivity(key: str, bound: int) -> tuple:
 def _exec_epimorphism(sub_key: str, amb_key: str, degree: int) -> tuple:
     sub, amb = _complex(sub_key), _complex(amb_key)
     m = induced_map(sub, amb, degree)
-    pres = Presentation(amb, degree)
-    coords = pres.class_of(fundamental_cycle(two_sphere()))
+    coords = m.codomain_presentation.class_of(fundamental_cycle(two_sphere()))
     hits_generator = m.codomain == AbelianGroup(0, (3,)) and any(
         c % 3 for c in coords
     )

@@ -6,6 +6,8 @@ independent check on the Smith normal form machinery rather than a
 frozen output of it.
 """
 
+import types
+
 import pytest
 
 from cyclefree import (
@@ -26,7 +28,12 @@ from cyclefree import (
     relative_homology,
     snf,
 )
-from cyclefree.homology import SparseIntMatrix, in_column_lattice, in_column_space_mod_p
+from cyclefree.homology import (
+    SparseIntMatrix,
+    _smith,
+    in_column_lattice,
+    in_column_space_mod_p,
+)
 
 
 def K(*facets):
@@ -165,6 +172,25 @@ class TestSmithNormalForm:
         assert dense_snf([[1, 0], [0, 0]]) == (1,)
         assert dense_snf([[0, 0], [0, 0]]) == ()
 
+    def test_divisor_chain_from_coprime_pivots(self):
+        # every pivot here is >= 2, so only the divisibility fix-up can
+        # turn diag(2, 3) into the chain (1, 6)
+        assert dense_snf([[2, 0], [0, 3]]) == (1, 6)
+        assert dense_snf([[4, 0], [0, 6]]) == (2, 12)
+        assert dense_snf([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
+
+    def test_dense_route_shares_no_code_with_the_sparse_one(self):
+        def names(code):
+            out = set(code.co_names)
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    out |= names(const)
+            return out
+
+        sparse = {"_sparse_eliminate", "snf", "rank_z", "rank_mod_p"}
+        for func in (dense_snf, _smith):
+            assert not names(func.__code__) & sparse
+
     def test_sparse_agrees_with_dense_on_boundaries(self):
         for complex_, k in [(CIRCLE, 1), (RP2, 1), (RP2, 2), (SPHERE, 2)]:
             mat = boundary_matrix(complex_, k)
@@ -287,6 +313,14 @@ class TestCyclesAndBoundaries:
         (coord,) = pres.class_of(self.LOOP)
         assert abs(coord) == 1
 
+    def test_presentations_in_edge_degrees(self):
+        # unreduced degree 0 counts components; no faces means no group
+        assert Presentation(CIRCLE, 0, reduced=False).group == AbelianGroup(1)
+        assert Presentation(CIRCLE, 0).group.is_trivial
+        pres = Presentation(CIRCLE, 2)
+        assert pres.group.is_trivial and pres.generators == ()
+        assert pres.class_of(Chain({}, degree=2)) == ()
+
     def test_class_of_rejects_non_cycles(self):
         pres = Presentation(CIRCLE, 1)
         with pytest.raises(ValueError, match="cycle"):
@@ -308,6 +342,17 @@ class TestInducedAndRelative:
         m = induced_map(skeleton, RP2, 1)
         assert homology(skeleton).group(1) == AbelianGroup(10)
         assert m.surjective
+
+    def test_codomain_presentation_is_exposed_but_not_compared(self):
+        skeleton = SimplicialComplex.from_facets(RP2.faces(1))
+        m = induced_map(skeleton, RP2, 1)
+        pres = m.codomain_presentation
+        assert pres.orders == m.codomain_orders == (2,)
+        gen, _ = pres.generators[0]
+        assert pres.class_of(gen) == (1,)
+        again = induced_map(skeleton, RP2, 1)
+        assert m == again and hash(m) == hash(again)
+        assert "codomain_presentation" not in repr(m)
 
     def test_disk_mod_boundary(self):
         res = relative_homology(DISK, CIRCLE)

@@ -9,8 +9,9 @@ counterexample to a small one, so a failure prints a usable repro.
 
 import math
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cyclefree import (
@@ -30,7 +31,7 @@ from cyclefree import (
     snf,
     suspension,
 )
-from cyclefree.homology import SparseIntMatrix
+from cyclefree.homology import SparseIntMatrix, _smith
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -57,12 +58,12 @@ def chains(draw):
 
 
 @st.composite
-def matrices(draw):
-    nrows = draw(st.integers(1, 5))
-    ncols = draw(st.integers(1, 5))
+def matrices(draw, max_size=5, entries=st.integers(-9, 9)):
+    nrows = draw(st.integers(1, max_size))
+    ncols = draw(st.integers(1, max_size))
     dense = draw(
         st.lists(
-            st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+            st.lists(entries, min_size=ncols, max_size=ncols),
             min_size=nrows,
             max_size=nrows,
         )
@@ -86,6 +87,63 @@ def test_boundary_squares_to_zero(chain):
 def test_sparse_and_dense_smith_forms_agree(pair):
     dense, sparse = pair
     assert snf(sparse) == dense_snf(dense)
+
+
+def _det(rows):
+    """Integer determinant, by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def _determinantal_factors(dense):
+    """Invariant factors d_k / d_{k-1}, d_k the gcd of the k x k minors."""
+    m, n = len(dense), len(dense[0])
+    factors, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                d = math.gcd(d, _det([[dense[i][j] for j in cs] for i in rs]))
+        if not d:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
+
+
+# entries without units, so that pivots >= 2 meet the divisibility fix-up
+NO_UNITS = st.sampled_from([0, 0, 2, -3, 4, 6, -9, 10, 15])
+
+
+@SETTINGS
+@given(st.one_of(matrices(max_size=4), matrices(max_size=4, entries=NO_UNITS)))
+def test_dense_smith_form_equals_determinantal_divisors(pair):
+    # an oracle for the oracle: no elimination at all, only minors
+    dense, _ = pair
+    assert dense_snf(dense) == _determinantal_factors(dense)
+
+
+@SETTINGS
+@given(st.one_of(matrices(), matrices(entries=NO_UNITS)))
+def test_smith_transforms_diagonalise(pair):
+    dense, _ = pair
+    a = np.array(dense, dtype=object)
+    m, n = a.shape
+    factors, u, uinv, v, vinv = _smith(a, left=True, right=True)
+    d = np.zeros((m, n), dtype=object)
+    for i, f in enumerate(factors):
+        d[i, i] = f
+    assert (u @ a @ v == d).all()
+    assert (u @ uinv == np.eye(m, dtype=int)).all()
+    assert (v @ vinv == np.eye(n, dtype=int)).all()
+    assert all(f > 0 for f in factors)
+    assert all(g % f == 0 for f, g in zip(factors, factors[1:]))
+    assert (a == np.array(dense, dtype=object)).all()  # input left as it was
 
 
 @SETTINGS
