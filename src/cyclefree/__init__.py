@@ -8,7 +8,7 @@ The package is organized around a small pipeline:
     induced arcs and cycles.
 ``complexes``
     A plain facet-based simplicial complex with links, stars, joins,
-    unions, intersections, and nerves.
+    unions, and intersections.
 ``homology``
     Chains, boundary matrices, Smith normal form (sparse front end and
     an independent dense routine), integral and mod-p homology, cycle
@@ -16,9 +16,8 @@ The package is organized around a small pipeline:
     induced maps of inclusions.
 ``builders``
     The complex families themselves: full chessboard complexes,
-    cycle-free complexes, their column/row restrictions, digraph
-    variants, directed matchings, cycle-count filtrations, and
-    iterated suspensions.
+    cycle-free complexes, their column/row restrictions, directed
+    matchings, cycle-count filtrations, and iterated suspensions.
 ``generators``
     Hand-built spheres inside these complexes together with their
     fundamental cycles, used as witnesses for non-vanishing homology.
@@ -48,11 +47,9 @@ from .boards import (
     reduced_spec,
 )
 from .complexes import (
-    Cover,
     SimplicialComplex,
     intersection,
     join,
-    nerve,
     suspension,
     union,
 )
@@ -80,17 +77,13 @@ from .homology import (
 )
 
 from .builders import (
-    Digraph,
     Multicycle,
-    complete_digraph,
     delta,
-    delta_digraph,
     directed_matching,
     filtration_level,
     full_board,
     multicycles,
     omega,
-    omega_digraph,
     sym,
     theta,
     theta1,
@@ -134,12 +127,8 @@ __all__ = [
     "Claim",
     "ClaimReport",
     "CLAIMS",
-    "complete_digraph",
-    "Cover",
     "delta",
-    "delta_digraph",
     "dense_snf",
-    "Digraph",
     "directed_matching",
     "facet_from_order",
     "filtration_level",
@@ -166,12 +155,10 @@ __all__ = [
     "mu_nm",
     "Multicycle",
     "multicycles",
-    "nerve",
     "NOT_AT_DESK_SCALE",
     "nu_n",
     "odd_sphere",
     "omega",
-    "omega_digraph",
     "Presentation",
     "rank_mod_p",
     "rank_z",

@@ -221,11 +221,12 @@ def make_spec(n: int, m: int = 0, p: int = 0) -> BoardSpec:
 
 def induced_arcs(config: Iterable, spec: BoardSpec) -> dict[int, tuple[int, Square]]:
     """Map each row x with an outgoing arc to (alpha(y), the square giving it)."""
-    arcs: dict[int, tuple[int, Square]] = {}
-    for sq in as_config(config):
-        if sq.row in spec.x_rows and sq.col in spec.y_cols:
-            arcs[sq.row] = (spec.alpha(sq.col), sq)
-    return arcs
+    return _arcs(as_config(config), spec)
+
+
+def _arcs(config: frozenset[Square], spec: BoardSpec) -> dict[int, tuple[int, Square]]:
+    x, y, alpha = spec.x_rows, spec.y_cols, spec.alpha
+    return {sq.row: (alpha(sq.col), sq) for sq in config if sq.row in x and sq.col in y}
 
 
 def alpha_cycles(config: Iterable, spec: BoardSpec) -> list[list[Square]]:
@@ -246,7 +247,7 @@ def alpha_cycles(config: Iterable, spec: BoardSpec) -> list[list[Square]]:
     config = as_config(config)
     if not is_nontaking(config):
         raise ValueError(f"configuration is taking: {sorted(config)}")
-    arcs = induced_arcs(config, spec)
+    arcs = _arcs(config, spec)
     cycles: list[list[Square]] = []
     state: dict[int, int] = {}  # 0 = in progress, 1 = done
     for start in sorted(arcs):

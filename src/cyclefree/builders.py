@@ -1,27 +1,29 @@
-"""Constructors for the complex families living on boards and digraphs.
+"""Constructors for the complex families living on boards.
 
 Boards give the chessboard complex ``delta`` and its cycle-free
-subcomplex ``omega``; digraphs give the same two pictures with arcs in
-place of squares.  On top of these sit the column/row restrictions
-``theta1``/``theta2``/``theta``, the directed matching complex, the
+subcomplex ``omega``.  On top of these sit the column/row restrictions
+``theta1``/``theta2``/``theta``, the directed matching complex (the
+chessboard complex off the diagonal, its squares read as arcs), the
 cycle-count filtrations, the multicycle bookkeeping the filtrations are
 indexed by, and the suspension ``sym``.
 
-Everything here is pure and deterministic: enumeration walks rows (or
-arcs) in sorted order and facet sets are canonicalized by
+Everything here is pure and deterministic.  Builders produce facets
+only, never the faces below them: full boards and bare blocks have
+closed formulas, and every other board goes through one row-by-row walk
+that keeps only the maximal configurations, so its result is already a
+facet set and skips the maximality filter of
 ``SimplicialComplex.from_facets``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .boards import (
     Bijection,
     BoardSpec,
     Square,
-    alpha_cycles,
     as_config,
     facet_from_order,
     make_spec,
@@ -29,17 +31,13 @@ from .boards import (
 from .complexes import SimplicialComplex, suspension, union
 
 __all__ = [
-    "Digraph",
     "Multicycle",
-    "complete_digraph",
     "delta",
-    "delta_digraph",
     "directed_matching",
     "filtration_level",
     "full_board",
     "multicycles",
     "omega",
-    "omega_digraph",
     "sym",
     "theta",
     "theta1",
@@ -56,34 +54,84 @@ def full_board(n: int, m: int | None = None) -> frozenset[Square]:
 # -- chessboard complexes ------------------------------------------------
 
 
-def _nontaking_configs(squares: Iterable[Square]) -> Iterator[tuple[Square, ...]]:
-    """Every non-taking configuration on the given squares, empty included.
+def _maximal_configs(
+    board: Iterable, spec: BoardSpec | None, max_cycles: int = 0
+) -> frozenset[frozenset[Square]]:
+    """The maximal non-taking configurations with at most ``max_cycles``
+    cycles induced through ``spec`` (none at all without a spec).
 
-    Rows are processed in sorted order; each either contributes one of
-    its free-column squares or is skipped, so each configuration is
-    produced exactly once.
+    Rows are processed in sorted order; each either contributes one
+    square or is skipped, so each configuration is reached exactly once.
+    A square is *blocked* when its column is used, or when its arc would
+    close a cycle while the configuration already has ``max_cycles``
+    cycles.  Along a branch the used columns, the paths an arc could
+    close and the cycle count only grow, so a square blocked once stays
+    blocked, and one check at each leaf is exact: the configuration is
+    kept when every square of every skipped row is blocked.  The family
+    is closed under taking subsets, so "no square can be added" is the
+    same as maximal.
+
+    >>> sorted(map(sorted, _maximal_configs(full_board(2), make_spec(2))))
+    [[Square(row=1, col=2)], [Square(row=2, col=1)]]
     """
-    squares = sorted(as_config(squares))
-    rows = sorted({s.row for s in squares})
-    by_row = {r: [s for s in squares if s.row == r] for r in rows}
+    squares = sorted(as_config(board))
+    by_row = itertools.groupby(squares, key=lambda s: s.row)
+    rows = [{s.col: s for s in row} for _, row in by_row]  # column -> square
+    heads: dict[Square, int] = {}  # square of the block -> row its arc enters
+    if spec is not None:
+        x, y, alpha = spec.x_rows, spec.y_cols, spec.alpha
+        heads = {s: alpha(s.col) for s in squares if s.row in x and s.col in y}
     used_cols: set = set()
+    succ: dict[int, int] = {}  # the arcs of the configuration
     config: list[Square] = []
+    skipped: list[dict[int, Square]] = []
+    found: list[frozenset[Square]] = []
+    cycles = 0
 
-    def extend(i: int) -> Iterator[tuple[Square, ...]]:
+    def closes_cycle(s: Square) -> bool:
+        # only asked for a free column, whose arc enters a path start
+        node = heads.get(s)
+        while node is not None:
+            if node == s.row:
+                return True
+            node = succ.get(node)
+        return False
+
+    def extend(i: int) -> None:
+        nonlocal cycles
         if i == len(rows):
-            yield tuple(config)
+            for row in skipped:
+                free = row.keys() - used_cols
+                if free and (
+                    cycles < max_cycles or not all(closes_cycle(row[c]) for c in free)
+                ):
+                    return
+            found.append(frozenset(config))
             return
-        yield from extend(i + 1)
-        for s in by_row[rows[i]]:
-            if s.col in used_cols:
+        skipped.append(rows[i])
+        extend(i + 1)
+        skipped.pop()
+        for col, s in rows[i].items():
+            if col in used_cols:
                 continue
-            used_cols.add(s.col)
+            closing = closes_cycle(s)
+            if closing and cycles == max_cycles:
+                continue
+            used_cols.add(col)
             config.append(s)
-            yield from extend(i + 1)
+            head = heads.get(s)
+            if head is not None:
+                succ[s.row] = head
+            cycles += closing
+            extend(i + 1)
+            cycles -= closing
+            if head is not None:
+                del succ[s.row]
             config.pop()
-            used_cols.remove(s.col)
+            used_cols.remove(col)
 
-    return extend(0)
+    extend(0)
+    return frozenset(found)
 
 
 def delta(board: Iterable) -> SimplicialComplex:
@@ -91,80 +139,27 @@ def delta(board: Iterable) -> SimplicialComplex:
 
     A full product board gets its facets written down directly (every
     maximal configuration pairs each row of the smaller side with a
-    distinct column), anything else goes through plain enumeration.
+    distinct column), any other board goes through the facet walk.
 
     >>> delta(full_board(2)).f_vector()
     (4, 2)
     >>> delta([(1, 1)]).f_vector()
     (1,)
+    >>> delta([]).dim
+    -1
     """
     board = as_config(board)
-    if not board:
-        return SimplicialComplex.from_facets([[]])
     rows = sorted({s.row for s in board})
     cols = sorted({s.col for s in board})
-    if len(board) == len(rows) * len(cols):
-        if len(rows) > len(cols):
-            facets = (
-                zip(perm, cols) for perm in itertools.permutations(rows, len(cols))
-            )
-        else:
-            facets = (
-                zip(rows, perm) for perm in itertools.permutations(cols, len(rows))
-            )
-        return SimplicialComplex.from_facets(
-            [Square(r, c) for r, c in f] for f in facets
-        )
-    return SimplicialComplex.from_facets(_nontaking_configs(board))
-
-
-def _cycle_free_configs(spec: BoardSpec) -> Iterator[tuple[Square, ...]]:
-    """Every non-taking, cycle-free configuration on a spec's board.
-
-    Same row-by-row walk as ``_nontaking_configs`` with one extra prune:
-    a square of the distinguished block is skipped whenever its arc
-    would close a directed cycle, and every extension of a cyclic
-    configuration stays cyclic, so the prune is exact.
-    """
-    squares = sorted(spec.board)
-    rows = sorted({s.row for s in squares})
-    by_row = {r: [s for s in squares if s.row == r] for r in rows}
-    x, y, alpha = spec.x_rows, spec.y_cols, spec.alpha
-    used_cols: set = set()
-    config: list[Square] = []
-    arcs: dict[int, int] = {}
-
-    def closes_cycle(s: Square) -> bool:
-        if s.row not in x or s.col not in y:
-            return False
-        node = alpha(s.col)
-        while True:
-            if node == s.row:
-                return True
-            if node not in arcs:
-                return False
-            node = arcs[node]
-
-    def extend(i: int) -> Iterator[tuple[Square, ...]]:
-        if i == len(rows):
-            yield tuple(config)
-            return
-        yield from extend(i + 1)
-        for s in by_row[rows[i]]:
-            if s.col in used_cols or closes_cycle(s):
-                continue
-            used_cols.add(s.col)
-            config.append(s)
-            arc = s.row in x and s.col in y
-            if arc:
-                arcs[s.row] = alpha(s.col)
-            yield from extend(i + 1)
-            if arc:
-                del arcs[s.row]
-            config.pop()
-            used_cols.remove(s.col)
-
-    return extend(0)
+    if len(board) != len(rows) * len(cols):
+        return SimplicialComplex(_maximal_configs(board, None), nonvoid=True)
+    if len(rows) > len(cols):
+        pairs = (zip(perm, cols) for perm in itertools.permutations(rows, len(cols)))
+    else:
+        pairs = (zip(rows, perm) for perm in itertools.permutations(cols, len(rows)))
+    return SimplicialComplex(
+        frozenset(frozenset(Square(r, c) for r, c in f) for f in pairs), nonvoid=True
+    )
 
 
 def omega(spec: BoardSpec) -> SimplicialComplex:
@@ -175,7 +170,7 @@ def omega(spec: BoardSpec) -> SimplicialComplex:
     disjoint union of directed paths on the rows of X, any such forest
     with fewer than ``|X| - 1`` arcs extends by concatenating two paths,
     and the forests with exactly ``|X| - 1`` arcs are the single paths,
-    one per linear order of X.  General specs are enumerated.
+    one per linear order of X.  General specs go through the facet walk.
 
     >>> omega(make_spec(2)).f_vector()
     (2,)
@@ -186,11 +181,13 @@ def omega(spec: BoardSpec) -> SimplicialComplex:
     """
     bare = not spec.z_rows and not spec.t_cols
     if bare and len(spec.board) == len(spec.x_rows) * len(spec.y_cols):
-        return SimplicialComplex.from_facets(
+        facets = frozenset(
             facet_from_order(order, spec)
             for order in itertools.permutations(sorted(spec.x_rows))
         )
-    return SimplicialComplex.from_facets(_cycle_free_configs(spec))
+    else:
+        facets = _maximal_configs(spec.board, spec)
+    return SimplicialComplex(facets, nonvoid=True)
 
 
 # -- column/row restrictions ---------------------------------------------
@@ -234,124 +231,23 @@ def theta(n: int) -> SimplicialComplex:
     return union(theta1(n), theta2(n))
 
 
-# -- digraph complexes ----------------------------------------------------
-
-
-class Digraph:
-    """A finite digraph: nodes plus a set of ordered edges, loops allowed."""
-
-    __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: Iterable, edges: Iterable[tuple]):
-        nodes = frozenset(nodes)
-        edges = frozenset((a, b) for a, b in edges)
-        stray = [e for e in edges if e[0] not in nodes or e[1] not in nodes]
-        if stray:
-            raise ValueError(f"edges leave the node set: {sorted(stray)}")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Digraph is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.nodes, self.edges))
-
-    def __repr__(self):
-        return f"Digraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
-
-
-def complete_digraph(n: int, loops: bool = True) -> Digraph:
-    """The complete digraph on nodes 1..n, with or without loops."""
-    nodes = range(1, n + 1)
-    edges = [(a, b) for a in nodes for b in nodes if loops or a != b]
-    return Digraph(nodes, edges)
-
-
-def _degree_valid_subsets(g: Digraph, allow_cycles: bool) -> Iterator[tuple]:
-    """Edge subsets with in- and out-degree at most one everywhere.
-
-    Such a subset decomposes into directed paths and directed cycles
-    (a loop being a cycle of length one); with ``allow_cycles`` off the
-    cycle-closing edge is pruned, leaving path forests only.
-    """
-    edges = sorted(g.edges)
-    tails: set = set()
-    heads: set = set()
-    succ: dict = {}
-    config: list[tuple] = []
-
-    def closes_cycle(a, b) -> bool:
-        node = b
-        while True:
-            if node == a:
-                return True
-            if node not in succ:
-                return False
-            node = succ[node]
-
-    def extend(i: int) -> Iterator[tuple]:
-        if i == len(edges):
-            yield tuple(config)
-            return
-        yield from extend(i + 1)
-        a, b = edges[i]
-        if a in tails or b in heads:
-            return
-        if not allow_cycles and closes_cycle(a, b):
-            return
-        tails.add(a)
-        heads.add(b)
-        succ[a] = b
-        config.append(edges[i])
-        yield from extend(i + 1)
-        config.pop()
-        del succ[a]
-        heads.remove(b)
-        tails.remove(a)
-
-    return extend(0)
-
-
-def delta_digraph(g: Digraph) -> SimplicialComplex:
-    """The complex of subgraphs whose components are paths or cycles.
-
-    Vertices are the edges of ``g``.  On the complete digraph with
-    loops this is the chessboard complex of the full square board under
-    the edge-to-square identification (i, j) <-> square (i, j).
-    """
-    return SimplicialComplex.from_facets(_degree_valid_subsets(g, allow_cycles=True))
-
-
-def omega_digraph(g: Digraph) -> SimplicialComplex:
-    """The complex of subgraphs whose components are paths only.
-
-    >>> omega_digraph(complete_digraph(2, loops=False)).f_vector()
-    (2,)
-    """
-    return SimplicialComplex.from_facets(_degree_valid_subsets(g, allow_cycles=False))
+# -- directed matchings and cycle-count filtrations -----------------------
 
 
 def directed_matching(n: int) -> SimplicialComplex:
     """Arc sets on 1..n whose components are paths or cycles of length >= 2.
 
-    The loopless counterpart of the full square chessboard complex:
-    dropping loops from the complete digraph is exactly dropping the
-    diagonal squares, and with them the cycles of length one.
+    The arc i -> j is the square (i, j), so this is the chessboard
+    complex of the n x n board without its diagonal: dropping the
+    diagonal squares drops the loops, the cycles of length one.
+
+    >>> directed_matching(3).f_vector()
+    (6, 9, 2)
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return delta_digraph(complete_digraph(n, loops=False))
-
-
-# -- cycle-count filtrations ----------------------------------------------
+    board = full_board(n) - make_spec(n).loop_squares()
+    return SimplicialComplex(_maximal_configs(board, None), nonvoid=True)
 
 
 def filtration_level(family: str, n: int, p: int) -> SimplicialComplex:
@@ -371,12 +267,7 @@ def filtration_level(family: str, n: int, p: int) -> SimplicialComplex:
     board = spec.board
     if family == "dm":
         board = board - spec.loop_squares()
-    admitted = [
-        config
-        for config in _nontaking_configs(board)
-        if len(alpha_cycles(config, spec)) <= p
-    ]
-    return SimplicialComplex.from_facets(admitted)
+    return SimplicialComplex(_maximal_configs(board, spec, p), nonvoid=True)
 
 
 class Multicycle:

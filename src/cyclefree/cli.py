@@ -67,13 +67,16 @@ def _reject(parser: argparse.ArgumentParser, args, **allowed) -> None:
 def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
     family = args.family
     n = args.n
+    # a !spec header promises cycle-free facets, and read_complex checks
+    # them, so only the cycle-free families record their spec
     spec = None
     try:
         if family in ("fp", "delta", "dm") and args.cycles is not None:
             _reject(parser, args, cycles=True)
             base = "dm" if family == "dm" else "delta"
             complex_ = filtration_level(base, n, args.cycles)
-            spec = make_spec(n)
+            if args.cycles == 0:
+                spec = make_spec(n)
         elif family == "fp":
             parser.error("--family fp requires --cycles")
         elif family == "delta":
@@ -87,7 +90,6 @@ def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
         elif family == "dm":
             _reject(parser, args)
             complex_ = directed_matching(n)
-            spec = make_spec(n)
         elif family in ("theta", "theta1", "theta2"):
             _reject(parser, args)
             builder = {"theta": theta, "theta1": theta1, "theta2": theta2}[family]

@@ -237,50 +237,3 @@ def intersection(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComp
         k1, k2 = k2, k1
     common = {f & g for f in k1.facets for g in k2.facets}
     return SimplicialComplex.from_facets(common)
-
-
-class Cover:
-    """An indexed family of subcomplexes covering a complex."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[SimplicialComplex]):
-        self.parts = tuple(parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-
-def nerve(cover) -> SimplicialComplex:
-    """Nerve of a cover, on part indices 0..len-1.
-
-    A set of indices spans a face when the corresponding parts share at
-    least one vertex.  Grown breadth-first: supersets of an index set
-    with empty common vertex set are pruned.
-    """
-    parts = tuple(cover)
-    vsets = [frozenset(p.vertices) for p in parts]
-    live: dict[frozenset, frozenset] = {}
-    frontier = {}
-    for i, vs in enumerate(vsets):
-        if vs:
-            frontier[frozenset([i])] = vs
-    while frontier:
-        live.update(frontier)
-        nxt: dict[frozenset, frozenset] = {}
-        for s, common in frontier.items():
-            top = max(s)
-            for j in range(top + 1, len(parts)):
-                meet = common & vsets[j]
-                if meet:
-                    nxt[s | {j}] = meet
-        frontier = nxt
-    if not live and parts:
-        return SimplicialComplex.from_facets([[]])
-    return SimplicialComplex.from_facets(live)

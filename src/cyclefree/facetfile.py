@@ -8,7 +8,9 @@ Lines starting with ``#`` are comments.  An optional header
 
 records the distinguished rows, columns and the column-to-row
 bijection of a board spec; the board itself is reconstructed as the block X x Y
-together with every square mentioned in the file.
+together with every square mentioned in the file.  Under a header every
+facet must be a non-taking, cycle-free configuration of that spec, and
+a facet that is not is rejected with its line number.
 
 A file without facet lines denotes the complex whose only face is the
 empty one.  The void complex has no representation and is rejected on
@@ -20,7 +22,7 @@ from __future__ import annotations
 import io
 from typing import Optional
 
-from .boards import BoardSpec, Square
+from .boards import BoardSpec, Square, is_cycle_free, is_nontaking
 from .complexes import SimplicialComplex
 
 __all__ = ["format_complex", "read_complex", "write_complex"]
@@ -52,9 +54,10 @@ def _parse_square(token: str) -> Square:
 def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
     """Read a facet file; returns the complex and its spec, if recorded."""
     facets: list[list[Square]] = []
+    sources: list[tuple[int, str]] = []  # line number and text of each facet
     header: Optional[dict[str, str]] = None
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -62,7 +65,7 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
                 header = _parse_header(line)
                 continue
             facets.append([_parse_square(tok) for tok in line.split()])
-    complex_ = SimplicialComplex.from_facets(facets if facets else [[]])
+            sources.append((lineno, line))
     spec = None
     if header is not None:
         x = _parse_labels(header["X"])
@@ -76,7 +79,15 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
         board = {Square(r, c) for r in x for c in y}
         board.update(sq for f in facets for sq in f)
         spec = BoardSpec(board, x, y, alpha)
-    return complex_, spec
+        for (lineno, text), facet in zip(sources, facets):
+            if not is_nontaking(facet):
+                problem = "is taking"
+            elif not is_cycle_free(facet, spec):
+                problem = "induces a cycle under the !spec header"
+            else:
+                continue
+            raise ValueError(f"line {lineno}: facet {text!r} {problem}")
+    return SimplicialComplex.from_facets(facets if facets else [[]]), spec
 
 
 def format_complex(complex_: SimplicialComplex, spec: Optional[BoardSpec] = None) -> str:

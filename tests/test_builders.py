@@ -1,40 +1,43 @@
 """Family builders: chessboard and cycle-free complexes, filtrations,
-digraph routes, multicycle enumeration, suspensions.
+directed matchings, multicycle enumeration, suspensions, and the facet
+walk behind them checked against brute force.
 
 Homology values pinned here were derived independently before freezing;
 the small chessboard ones (3 x 3 circle of rank 4, the 3 x 4 torus) are
 classical and double as sanity anchors.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclefree import (
     AbelianGroup,
     BoardSpec,
     Bijection,
-    Digraph,
     Multicycle,
+    SimplicialComplex,
     Square,
-    complete_digraph,
+    alpha_cycles,
     delta,
-    delta_digraph,
     directed_matching,
     filtration_level,
     full_board,
     homology,
     intersection,
+    is_nontaking,
     make_spec,
     multicycles,
     omega,
-    omega_digraph,
     sym,
     theta,
     theta1,
     theta2,
     union,
 )
+from cyclefree.builders import _maximal_configs
 
 
 def H(complex_):
@@ -148,37 +151,32 @@ class TestThetaFamily:
 
 
 class TestDigraphRoutes:
-    def test_digraph_validation(self):
-        with pytest.raises(ValueError, match="leave"):
-            Digraph([1, 2], [(1, 3)])
-        g = Digraph([1, 2], [(1, 2)])
-        with pytest.raises(AttributeError):
-            g.nodes = frozenset()
-
-    def test_complete_digraph_sizes(self):
-        assert len(complete_digraph(3).edges) == 9
-        assert len(complete_digraph(3, loops=False).edges) == 6
+    """Directed matchings: the arc i -> j is the square (i, j)."""
 
     def test_full_digraph_route_matches_board_route(self):
-        # arcs (i, j) and squares (i, j) induce identical complexes
-        for n in (2, 3):
-            assert delta_digraph(complete_digraph(n)) == delta(full_board(n))
-            assert omega_digraph(complete_digraph(n, loops=False)) == omega(
-                make_spec(n)
-            )
+        # the loopless complete digraph is the board without its diagonal
+        for n in range(1, 6):
+            off_diagonal = full_board(n) - {Square(i, i) for i in range(1, n + 1)}
+            assert directed_matching(n) == delta(off_diagonal)
+        assert directed_matching(3).vertices == tuple(
+            (a, b) for a in range(1, 4) for b in range(1, 4) if a != b
+        )
+
+    def test_top_dm_level_is_directed_matching(self):
+        for n in range(1, 6):
+            assert filtration_level("dm", n, n) == directed_matching(n)
 
     def test_directed_matching_homology(self):
         assert H(directed_matching(2)) == {}
         assert H(directed_matching(3)) == {1: free(2)}
         assert H(directed_matching(4)) == {2: free(4)}
 
-    def test_path_digraph(self):
-        g = Digraph([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
-        with_cycles = delta_digraph(g)
-        without = omega_digraph(g)
-        assert with_cycles.has_face(((1, 2), (2, 3), (3, 1)))
-        assert not without.has_face(((1, 2), (2, 3), (3, 1)))
-        assert without.has_face(((1, 2), (2, 3)))
+    def test_three_cycle_face(self):
+        cycle = ((1, 2), (2, 3), (3, 1))
+        for spec in (make_spec(3), make_spec(3, 1, 1)):
+            assert delta(spec.board).has_face(cycle)
+            assert not omega(spec).has_face(cycle)
+            assert omega(spec).has_face(cycle[:2])
 
 
 class TestFiltration:
@@ -277,3 +275,52 @@ class TestSym:
     def test_validation(self):
         with pytest.raises(ValueError):
             sym(0)
+
+
+# -- the facet walk against brute force --------------------------------------
+
+
+@st.composite
+def walk_inputs(draw):
+    """A small board, a spec on its rows and columns (or none), a cycle cap.
+
+    The spec's rows are X (1..k) plus free rows Z (negative), its columns
+    Y plus free columns T; alpha is a random bijection Y -> X.  The walk's
+    board drops random squares of the product, block squares included,
+    as the directed-matching filtration drops the diagonal.
+    """
+    k = draw(st.integers(0, 3))
+    z = draw(st.integers(0, 1))
+    t = draw(st.integers(0, 1))
+    x = list(range(1, k + 1))
+    y = list(range(1, k + 1))
+    rows = x + list(range(-z, 0))
+    cols = y + list(range(k + 1, k + t + 1))
+    product = [(r, c) for r in rows for c in cols]
+    board = draw(st.lists(st.sampled_from(product), unique=True)) if product else []
+    if draw(st.booleans()):
+        return board, None, 0
+    targets = draw(st.permutations(x))
+    spec = BoardSpec(product, x, y, dict(zip(y, targets)))
+    return board, spec, draw(st.integers(0, 2))
+
+
+def brute_force(board, spec, max_cycles):
+    """from_facets over every subset of the board that could be non-taking."""
+    rows = {r for r, _ in board}
+    admitted = [
+        subset
+        for size in range(len(rows) + 1)
+        for subset in itertools.combinations(board, size)
+        if is_nontaking(subset)
+        and (spec is None or len(alpha_cycles(subset, spec)) <= max_cycles)
+    ]
+    return SimplicialComplex.from_facets(admitted)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(walk_inputs())
+def test_facet_walk_equals_brute_force(inputs):
+    board, spec, max_cycles = inputs
+    walked = _maximal_configs(board, spec, max_cycles)
+    assert SimplicialComplex(walked, nonvoid=True) == brute_force(board, spec, max_cycles)

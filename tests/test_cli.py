@@ -38,6 +38,22 @@ class TestBuild:
         c, _ = read_complex(out)
         assert c.f_vector() == (16, 66, 68, 6)
 
+    def test_cyclic_families_write_no_spec(self, tmp_path, capsys):
+        # their facets induce cycles, which a !spec header would forbid
+        for argv, f_vector in (
+            (("--family", "dm", "--n", "3"), (6, 9, 2)),
+            (("--family", "fp", "--n", "3", "--cycles", "1"), (9, 15, 2)),
+        ):
+            out = tmp_path / "c.facets"
+            code, text = run(capsys, "build", *argv, "--out", str(out))
+            assert code == 0
+            assert f"f-vector {f_vector}" in text
+            c, spec = read_complex(out)
+            assert c.f_vector() == f_vector and spec is None
+        run(capsys, "build", "--family", "fp", "--n", "3", "--cycles", "0", "--out", str(out))
+        c, spec = read_complex(out)
+        assert spec is not None and c.f_vector() == (6, 6)
+
     def test_fp_needs_cycles(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["build", "--family", "fp", "--n", "4", "--out", str(tmp_path / "x")])

@@ -1,11 +1,9 @@
 import pytest
 
 from cyclefree import (
-    Cover,
     SimplicialComplex,
     intersection,
     join,
-    nerve,
     suspension,
     union,
 )
@@ -136,16 +134,7 @@ def test_union_and_intersection():
     assert intersection(a, b) == K("bc")
     assert intersection(K("ab"), K("cd")).is_void is False  # share no face but the empty one
     assert intersection(K("ab"), VOID).is_void
-
-
-def test_nerve_of_a_cover():
-    c = K("ab", "bc", "cd")
-    cover = Cover([K("ab"), K("bc"), K("cd")])
-    n = nerve(cover)
-    assert n.has_face((0, 1))
-    assert n.has_face((1, 2))
-    assert not n.has_face((0, 2))
-    assert union(union(K("ab"), K("bc")), K("cd")) == c
+    assert union(union(K("ab"), K("bc")), K("cd")) == K("ab", "bc", "cd")
 
 
 def test_equality_ignores_construction_order():

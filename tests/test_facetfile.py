@@ -82,6 +82,24 @@ def test_header_requires_all_fields(tmp_path):
         read_complex(path)
 
 
+def test_taking_facet_under_a_spec_rejected(tmp_path):
+    path = tmp_path / "taking.facets"
+    path.write_text("!spec X=1,2,3 Y=1,2,3 alpha=1:1,2:2,3:3\n1,2 2,3\n1,3 2,3\n")
+    with pytest.raises(ValueError, match="line 3: facet '1,3 2,3' is taking"):
+        read_complex(path)
+
+
+def test_cyclic_facet_under_a_spec_rejected(tmp_path):
+    path = tmp_path / "cyclic.facets"
+    path.write_text("!spec X=1,2,3 Y=1,2,3 alpha=1:1,2:2,3:3\n# the arcs 1->2->1\n1,2 2,1\n")
+    with pytest.raises(ValueError, match="line 3: facet '1,2 2,1' induces a cycle"):
+        read_complex(path)
+    # without the header the same facet is just a face of a complex
+    path.write_text("1,2 2,1\n")
+    c, spec = read_complex(path)
+    assert spec is None and c.f_vector() == (2, 1)
+
+
 def test_output_is_deterministic():
     c = omega(make_spec(3))
     text = format_complex(c, make_spec(3))
