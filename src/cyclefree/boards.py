@@ -247,7 +247,11 @@ def alpha_cycles(config: Iterable, spec: BoardSpec) -> list[list[Square]]:
     config = as_config(config)
     if not is_nontaking(config):
         raise ValueError(f"configuration is taking: {sorted(config)}")
-    arcs = _arcs(config, spec)
+    return _cycles(_arcs(config, spec))
+
+
+def _cycles(arcs: dict[int, tuple[int, Square]]) -> list[list[Square]]:
+    """The cycles of the arcs of a non-taking configuration, as in alpha_cycles."""
     cycles: list[list[Square]] = []
     state: dict[int, int] = {}  # 0 = in progress, 1 = done
     for start in sorted(arcs):

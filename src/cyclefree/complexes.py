@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "_nonvoid", "vertices", "_vset", "_faces", "_findex")
+    __slots__ = ("_facets", "_nonvoid", "vertices", "_vset", "_sorted", "_faces", "_findex")
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
         self._facets = facets
@@ -29,6 +29,7 @@ class SimplicialComplex:
             vs.update(f)
         self.vertices = tuple(sorted(vs))
         self._vset = frozenset(vs)
+        self._sorted: tuple[tuple, ...] = ()  # facets as sorted tuples, made once
         self._faces: dict[int, tuple] = {}
         self._findex: dict[int, dict] = {}
 
@@ -80,10 +81,12 @@ class SimplicialComplex:
         if k < -1 or self.is_void or k > self.dim:
             return ()
         if k not in self._faces:
+            if not self._sorted:
+                self._sorted = tuple(tuple(sorted(f)) for f in self._facets)
             seen = set()
-            for f in self._facets:
+            for f in self._sorted:
                 if len(f) > k:
-                    seen.update(combinations(sorted(f), k + 1))
+                    seen.update(combinations(f, k + 1))
             self._faces[k] = tuple(sorted(seen))
         return self._faces[k]
 

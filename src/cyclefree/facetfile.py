@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 from typing import Optional
 
-from .boards import BoardSpec, Square, is_cycle_free, is_nontaking
+from .boards import BoardSpec, Square, _arcs, _cycles, is_nontaking
 from .complexes import SimplicialComplex
 
 __all__ = ["format_complex", "read_complex", "write_complex"]
@@ -82,7 +82,7 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
         for (lineno, text), facet in zip(sources, facets):
             if not is_nontaking(facet):
                 problem = "is taking"
-            elif not is_cycle_free(facet, spec):
+            elif _cycles(_arcs(frozenset(facet), spec)):
                 problem = "induces a cycle under the !spec header"
             else:
                 continue

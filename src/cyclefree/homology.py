@@ -20,10 +20,11 @@ The sparse elimination also reports the rows it pivoted on, in pivot
 order; :func:`snf`, :func:`rank_z` and :func:`rank_mod_p` hand them on
 as a ``pivot_rows`` attribute of their (otherwise plain) result.
 :func:`homology`, :func:`betti_numbers` and :func:`relative_homology`
-reduce the boundary maps they need from the top degree down and use
-them for *clearing*: a k-face that was a pivot row of d_{k+1} is left
-out of d_k, which changes neither the column lattice of d_k nor its
-Smith form (see :func:`_boundary_ranks` for the argument).
+reduce the transposes d_k^T (coboundary maps) they need from the lowest
+degree up and use them for *clearing*: a k-face that was a pivot row of
+d_k^T is left out of d_{k+1}^T, which changes neither the column
+lattice of d_{k+1}^T nor its Smith form, that of d_{k+1} (see
+:func:`_boundary_ranks` for the argument).
 
 Membership of a cycle in the boundary lattice is decided without
 transform bookkeeping: a column vector lies in the column lattice of an
@@ -262,6 +263,14 @@ class SparseIntMatrix:
     def column(self, j: int) -> dict[int, int]:
         return dict(self.cols.get(j, {}))
 
+    def transpose(self) -> "SparseIntMatrix":
+        """The transpose; a boundary map's is the coboundary map."""
+        cols: dict[int, dict[int, int]] = {}
+        for j, col in self.cols.items():
+            for i, v in col.items():
+                cols.setdefault(i, {})[j] = v
+        return SparseIntMatrix(self.ncols, self.nrows, cols)
+
     def with_extra_column(self, col: Mapping[int, int]) -> "SparseIntMatrix":
         cols = {j: dict(c) for j, c in self.cols.items()}
         extra = {i: int(v) for i, v in col.items() if v}
@@ -328,7 +337,7 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
     other column is cleared in it, so the pivot columns (as they stood
     when chosen) restricted to the pivot rows form a triangular matrix
     with unit diagonal; :func:`_boundary_ranks` relies on that to clear
-    the next boundary map down.
+    the next coboundary map up.
 
     Pivots are chosen by a Markowitz-flavoured heuristic: smallest
     column first, then the entry of smallest row occupancy (restricted
@@ -714,19 +723,22 @@ def _boundary_ranks(
     empty).  Chains are those of the complex, augmented when
     ``reduced``, or those of the pair (complex, sub), never augmented.
 
-    The maps are reduced from the highest degree down, and d_k is built
-    only on the k-faces that were not pivot rows of d_{k+1} in this
-    call (*clearing*, after Chen and Kerber).  This is exact.  Let C be
-    the pivot columns of d_{k+1}, as they stood when chosen: each is a
-    combination of columns of d_{k+1}, integral in the Smith mode, so
-    d_k C = 0.  Restricted to the pivot rows R, C is triangular with a
-    +-1 diagonal (a unit diagonal mod p), hence invertible over Z (over
-    F_p).  Splitting d_k C = 0 along R and the other rows N gives
-    d_k[:, R] = -d_k[:, N] C[N] C[R]^-1, so every dropped column is an
-    integer (F_p-) combination of the kept ones.  The column lattice
-    (space) of d_k is therefore unchanged, and with it its Smith form
-    (rank).  A map is computed only when ``ks`` asks for it, never just
-    to clear the one below.
+    Each map is reduced as its transpose d_k^T, the coboundary, which
+    has the same Smith form.  The maps go from the lowest degree up, and
+    d_k^T is built only on the (k-1)-faces that were not pivot rows of
+    d_{k-1}^T in this call (*clearing*, after Chen and Kerber, on
+    coboundaries as in de Silva, Morozov and Vejdemo-Johansson).  This is
+    exact.  Let C be the pivot columns of d_{k-1}^T, as they stood when
+    chosen: each is a combination of columns of d_{k-1}^T, integral in
+    the Smith mode, so d_k^T C = 0, since d_{k-1} d_k = 0.  Restricted to
+    the pivot rows R, C is triangular with a +-1 diagonal (a unit
+    diagonal mod p), hence invertible over Z (over F_p).  Splitting
+    d_k^T C = 0 along R and the other rows N gives
+    d_k^T[:, R] = -d_k^T[:, N] C[N] C[R]^-1, so every dropped column is
+    an integer (F_p-) combination of the kept ones.  The column lattice
+    (space) of d_k^T is therefore unchanged, and with it its Smith form
+    (rank), which is that of d_k.  A map is computed only when ``ks``
+    asks for it, never just to clear the one above.
     """
     faces_cache: dict[int, tuple] = {}
 
@@ -739,17 +751,17 @@ def _boundary_ranks(
         return faces_cache[k]
 
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
-    cleared: set[int] = set()  # k-faces that were pivot rows of d_{k+1}
-    for k in sorted(set(ks), reverse=True):
-        if k + 1 not in out:
+    cleared: set[int] = set()  # (k-1)-faces that were pivot rows of d_{k-1}^T
+    for k in sorted(set(ks)):
+        if k - 1 not in out:
             cleared = set()
         cols, rows = faces(k), faces(k - 1)
         if cleared:
-            cols = tuple(f for i, f in enumerate(cols) if i not in cleared)
+            rows = tuple(f for i, f in enumerate(rows) if i not in cleared)
         if not cols or not rows:
             out[k], cleared = (0, ()), set()
             continue
-        mat = boundary_matrix(complex_, k, rows=None if sub is None else rows, cols=cols)
+        mat = boundary_matrix(complex_, k, rows=rows, cols=cols).transpose()
         if field is None:
             result = snf(mat)
             out[k] = len(result), tuple(f for f in result if f > 1)

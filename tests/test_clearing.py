@@ -1,10 +1,12 @@
 """Clearing across degrees against the uncleared per-matrix route.
 
-``homology``, ``betti_numbers`` and ``relative_homology`` reduce their
-boundary maps from the top degree down and leave out of d_k every k-face
-that was a pivot row of d_{k+1}.  Clearing has no off switch, so the
-reference here rebuilds each boundary map whole and reduces it on its
-own with ``snf``, ``rank_z`` or ``rank_mod_p``.
+``homology``, ``betti_numbers`` and ``relative_homology`` reduce the
+coboundary maps d_k^T they need from the lowest degree up and leave out
+of d_{k+1}^T every k-face that was a pivot row of d_k^T.  Clearing has
+no off switch, so the reference here rebuilds each boundary map whole
+and reduces it on its own with ``snf``, ``rank_z`` or ``rank_mod_p``.
+A query for a few degrees starts in the middle of the complex, so those
+are checked degree by degree.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cyclefree import (
     AbelianGroup,
     BoardSpec,
+    SimplicialComplex,
     betti_numbers,
     boundary_matrix,
     homology,
@@ -26,6 +29,7 @@ from cyclefree import (
 )
 from cyclefree.homology import in_column_lattice
 
+from test_homology import RP2
 from test_properties import complexes
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -58,8 +62,25 @@ def per_matrix(faces, boundary, degrees, reduce=smith):
     return out
 
 
-def uncleared(c, reduce=smith):
-    return per_matrix(c.faces, lambda k: boundary_matrix(c, k), range(-1, c.dim + 1), reduce)
+def uncleared(c, reduce=smith, reduced=True):
+    def faces(k):
+        return c.faces(k) if reduced or k >= 0 else ()
+
+    lo = -1 if reduced else 0
+    degrees = range(lo, max(c.dim, lo) + 1)
+    return per_matrix(faces, lambda k: boundary_matrix(c, k), degrees, reduce)
+
+
+def relative_uncleared(c, sub):
+    def faces(k):
+        inside = set(sub.faces(k))
+        return tuple(f for f in c.faces(k) if f not in inside) if k >= 0 else ()
+
+    return per_matrix(
+        faces,
+        lambda k: boundary_matrix(c, k, rows=faces(k - 1), cols=faces(k)),
+        range(0, c.dim + 1),
+    )
 
 
 @st.composite
@@ -81,6 +102,15 @@ def relabelled_omegas(draw):
     )
 
 
+@st.composite
+def pairs(draw):
+    """A complex and the subcomplex spanned by some of its facets."""
+    c = draw(st.one_of(complexes(range(7)), relabelled_omegas()))
+    facets = sorted(sorted(f) for f in c.facets)
+    kept = draw(st.lists(st.sampled_from(facets), max_size=len(facets), unique_by=tuple))
+    return c, SimplicialComplex.from_facets(kept or [[]])
+
+
 @SETTINGS
 @given(st.one_of(complexes(range(7)), relabelled_omegas()))
 def test_cleared_homology_equals_per_matrix_smith_forms(c):
@@ -92,6 +122,36 @@ def test_cleared_homology_equals_per_matrix_smith_forms(c):
 def test_cleared_betti_numbers_equal_per_matrix_ranks(c, p):
     want = {k: g.rank for k, g in uncleared(c, field_rank(p)).items()}
     assert betti_numbers(c, p) == want
+
+
+@SETTINGS
+@given(st.one_of(complexes(range(7)), relabelled_omegas()), st.booleans())
+def test_homology_in_single_degrees_equals_per_matrix_smith_forms(c, reduced):
+    want = uncleared(c, reduced=reduced)
+    assert homology(c, reduced=reduced).groups == want
+    lo = min(want)
+    for k, group in want.items():
+        assert homology(c, degrees=[k], reduced=reduced).groups == {k: group}
+        # two degrees far enough apart leave a map out between them
+        assert homology(c, degrees=[lo, k], reduced=reduced).groups == {lo: want[lo], k: group}
+
+
+@SETTINGS
+@given(st.one_of(complexes(range(7)), relabelled_omegas()), st.sampled_from([0, 2, 3]))
+def test_betti_numbers_through_each_degree_equal_per_matrix_ranks(c, p):
+    want = {k: g.rank for k, g in uncleared(c, field_rank(p)).items()}
+    for t in range(-1, c.dim + 1):
+        assert betti_numbers(c, p, through=t) == {k: b for k, b in want.items() if k <= t}
+
+
+@SETTINGS
+@given(pairs())
+def test_relative_homology_in_single_degrees_equals_per_matrix_assembly(pair):
+    c, sub = pair
+    want = relative_uncleared(c, sub)
+    assert relative_homology(c, sub).groups == want
+    for k, group in want.items():
+        assert relative_homology(c, sub, degrees=[k]).groups == {k: group}
 
 
 def test_pivot_rows_are_returned_in_every_mode():
@@ -124,19 +184,36 @@ def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
         assert in_column_lattice(kept, full.column(j))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
+    c = omega(make_spec(5, 2))
+    pivots = set(snf(boundary_matrix(c, k).transpose()).pivot_rows)
+    assert pivots
+    full = boundary_matrix(c, k + 1).transpose()
+    kept = boundary_matrix(
+        c, k + 1, rows=[f for i, f in enumerate(c.faces(k)) if i not in pivots]
+    ).transpose()
+    # As above, with rows and columns swapped: the k-faces that were
+    # pivot rows of d_k^T are the columns of d_{k+1}^T left out.
+    assert snf(kept) == snf(full)
+    for j in sorted(pivots)[::8]:
+        assert in_column_lattice(kept, full.column(j))
+
+
+def test_transpose_swaps_rows_and_columns():
+    mat = boundary_matrix(omega(make_spec(3, 1)), 2)
+    t = mat.transpose()
+    assert (t.nrows, t.ncols, t.nnz) == (mat.ncols, mat.nrows, mat.nnz)
+    assert t.to_dense() == [list(row) for row in zip(*mat.to_dense())]
+    assert t.transpose().to_dense() == mat.to_dense()
+
+
 def test_relative_homology_equals_per_matrix_assembly():
     c, sub = omega(make_spec(4)), theta(4)
-
-    def faces(k):
-        inside = set(sub.faces(k))
-        return tuple(f for f in c.faces(k) if f not in inside) if k >= 0 else ()
-
-    want = per_matrix(
-        faces,
-        lambda k: boundary_matrix(c, k, rows=faces(k - 1), cols=faces(k)),
-        range(0, c.dim + 1),
-    )
+    want = relative_uncleared(c, sub)
     assert relative_homology(c, sub).groups == want
+    for k, group in want.items():
+        assert relative_homology(c, sub, degrees=[k]).groups == {k: group}
 
 
 def test_torsion_of_the_six_board_with_a_free_row():
@@ -145,3 +222,35 @@ def test_torsion_of_the_six_board_with_a_free_row():
         3: AbelianGroup(30, (2, 2, 2, 6)),
         4: AbelianGroup(215),
     }
+
+
+@pytest.mark.parametrize(
+    "build, primes_with_torsion",
+    [
+        (lambda: omega(make_spec(6, 1)), {2, 3}),  # H_3 torsion 2, 2, 2, 6
+        (lambda: omega(make_spec(5, 3)), {2, 3}),  # H_3 torsion 3, ..., 6, ..., 12, 12
+        (lambda: omega(make_spec(5, 2)), {2}),  # H_3 torsion 2
+        (lambda: RP2, {2}),  # H_1 torsion 2
+    ],
+    ids=["omega-6-1", "omega-5-3", "omega-5-2", "RP2"],
+)
+def test_integer_groups_predict_field_betti_numbers(build, primes_with_torsion):
+    """Universal coefficients: b_k(F_p) = rank H_k + #{p | t in H_k} + #{p | t in H_{k-1}}.
+
+    The Z groups come from Smith forms and the F_p numbers from ranks
+    mod p: two runs of the cleared elimination in different arithmetic,
+    each clearing with its own pivots.
+    """
+    c = build()
+    h = homology(c)
+    seen = set()
+    for p in (2, 3):
+
+        def divisible(k):
+            return sum(1 for t in h[k].torsion if t % p == 0)
+
+        if any(divisible(k) for k in h.groups):
+            seen.add(p)
+        want = {k: h[k].rank + divisible(k) + divisible(k - 1) for k in range(-1, c.dim + 1)}
+        assert betti_numbers(c, p) == want
+    assert seen == primes_with_torsion
