@@ -7,8 +7,8 @@ The package is organized around a small pipeline:
     drives the cycle-freeness condition, and the combinatorics of
     induced arcs and cycles.
 ``complexes``
-    A plain facet-based simplicial complex with links, stars, joins,
-    unions, and intersections.
+    A plain facet-based simplicial complex with links, joins, unions,
+    and intersections.
 ``homology``
     Chains, boundary matrices, Smith normal form (sparse front end and
     an independent dense routine), integral and mod-p homology, cycle
@@ -40,7 +40,6 @@ from .boards import (
     alpha_cycles,
     as_config,
     facet_from_order,
-    induced_arcs,
     is_cycle_free,
     is_nontaking,
     make_spec,
@@ -141,7 +140,6 @@ __all__ = [
     "homology",
     "HomologyResult",
     "in_column_lattice",
-    "induced_arcs",
     "induced_map",
     "InducedMap",
     "intersection",

@@ -219,12 +219,8 @@ def make_spec(n: int, m: int = 0, p: int = 0) -> BoardSpec:
     return BoardSpec(board, x, y, Bijection.identity(x))
 
 
-def induced_arcs(config: Iterable, spec: BoardSpec) -> dict[int, tuple[int, Square]]:
-    """Map each row x with an outgoing arc to (alpha(y), the square giving it)."""
-    return _arcs(as_config(config), spec)
-
-
 def _arcs(config: frozenset[Square], spec: BoardSpec) -> dict[int, tuple[int, Square]]:
+    """Map each row x with an outgoing arc to (alpha(y), the square giving it)."""
     x, y, alpha = spec.x_rows, spec.y_cols, spec.alpha
     return {sq.row: (alpha(sq.col), sq) for sq in config if sq.row in x and sq.col in y}
 

@@ -35,21 +35,10 @@ from .builders import (
     theta2,
 )
 from .facetfile import format_complex, read_complex, write_complex
-from .homology import homology
+from .homology import _is_prime, homology
 from .verify import NOT_AT_DESK_SCALE, run_claims
 
 __all__ = ["main"]
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -123,20 +123,6 @@ class SimplicialComplex:
             frozenset(f - {v} for f in self._facets if v in f), nonvoid=True
         )
 
-    def star(self, v) -> "SimplicialComplex":
-        """The subcomplex generated by the facets containing v."""
-        if not self.has_vertex(v):
-            raise ValueError(f"{v} is not a vertex")
-        return SimplicialComplex(
-            frozenset(f for f in self._facets if v in f), nonvoid=True
-        )
-
-    def antistar(self, v) -> "SimplicialComplex":
-        """The subcomplex of faces avoiding v."""
-        if not self.has_vertex(v):
-            raise ValueError(f"{v} is not a vertex")
-        return SimplicialComplex.from_facets(f - {v} for f in self._facets)
-
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):

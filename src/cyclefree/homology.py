@@ -19,18 +19,18 @@ route's leftover block and, tracking transforms, builds presentations.
 The sparse elimination also reports the rows it pivoted on, in pivot
 order; :func:`snf`, :func:`rank_z` and :func:`rank_mod_p` hand them on
 as a ``pivot_rows`` attribute of their (otherwise plain) result.
-:func:`homology`, :func:`betti_numbers` and :func:`relative_homology`
-reduce the transposes d_k^T (coboundary maps) they need from the lowest
-degree up and use them for *clearing*: a k-face that was a pivot row of
-d_k^T is left out of d_{k+1}^T, which changes neither the column
+:func:`homology`, :func:`betti_numbers`, :func:`relative_homology` and
+:func:`is_boundary` share one core, :func:`_reduce`.  It reduces the
+transposes d_k^T (coboundary maps) that a query needs from the lowest
+degree up and uses them for *clearing*: a k-face that was a pivot row
+of d_k^T is left out of d_{k+1}^T, which changes neither the column
 lattice of d_{k+1}^T nor its Smith form, that of d_{k+1} (see
-:func:`_boundary_ranks` for the argument).
+:func:`_reduce` for the argument).  :func:`is_boundary` drops the same
+k-faces from the cycle it tests and from the rows of d_{k+1}.
 
-Membership of a cycle in the boundary lattice is decided without
-transform bookkeeping: a column vector lies in the column lattice of an
-integer matrix iff appending it changes neither the rank nor the
-invariant factors (the quotient's torsion order would otherwise drop by
-the index of the smaller lattice).
+Membership of a vector in the column lattice (or F_p-span) of a matrix
+takes one elimination and no transform bookkeeping: the vector goes in
+as one more column that is never a pivot (see :func:`_in_span`).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd, prod
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from math import prod
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -271,13 +271,6 @@ class SparseIntMatrix:
                 cols.setdefault(i, {})[j] = v
         return SparseIntMatrix(self.ncols, self.nrows, cols)
 
-    def with_extra_column(self, col: Mapping[int, int]) -> "SparseIntMatrix":
-        cols = {j: dict(c) for j, c in self.cols.items()}
-        extra = {i: int(v) for i, v in col.items() if v}
-        if extra:
-            cols[self.ncols] = extra
-        return SparseIntMatrix(self.nrows, self.ncols + 1, cols)
-
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
@@ -317,45 +310,57 @@ def boundary_matrix(
 # ---------------------------------------------------------------------------
 # sparse elimination
 
-_MOD_P = "mod_p"
-_EXACT_RANK = "rank"
-_EXACT_SNF = "snf"
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the primes to 41 as bases (exact below 3.3e24)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in bases:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
-def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
-    """Unit/invertible-pivot sparse elimination.
+def _check_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ValueError(f"coefficients must be a prime, got {p}")
 
-    mode == _MOD_P:   returns the pivot rows; their number is the rank
-        over F_p (p prime).
-    mode == _EXACT_RANK: returns (pivot_rows, leftover_cols) where the
-        leftover contains no +-1 entry; column gcds are divided out.
-    mode == _EXACT_SNF: like _EXACT_RANK but gcd reduction is skipped,
-        so the leftover's invariant factors complete those of the input.
 
-    ``pivot_rows`` lists the row of each pivot in pivot order, so its
-    length is the number of unit pivots.  Once a row is pivoted on, every
-    other column is cleared in it, so the pivot columns (as they stood
-    when chosen) restricted to the pivot rows form a triangular matrix
-    with unit diagonal; :func:`_boundary_ranks` relies on that to clear
-    the next coboundary map up.
+def _sparse_eliminate(matrix: SparseIntMatrix, p: int = 0, keep: Optional[int] = None):
+    """Sparse elimination over Z (``p == 0``) or over F_p (``p`` prime).
+
+    Returns ``(pivot_rows, leftover)``.  ``pivot_rows`` lists the row of
+    each pivot in pivot order.  Once a row is pivoted on, every other
+    column is cleared in it, so the pivot columns (as they stood when
+    chosen) restricted to the pivot rows form a triangular matrix with
+    unit diagonal; :func:`_reduce` relies on that to clear the next
+    coboundary map up.  ``leftover`` holds the other nonzero columns as
+    they end, all zero on the pivot rows.  Over F_p every nonzero entry
+    can be a pivot, so nothing is left over.  Over Z only +-1 entries
+    are pivots, a column with none is deferred, and the column
+    operations are unimodular: the invariant factors of the input are
+    the pivots' 1s followed by those of the leftover block.
+
+    Column ``keep``, if given, is reduced like any other but never
+    becomes a pivot; it is in ``leftover`` unless it was reduced to zero.
 
     Pivots are chosen by a Markowitz-flavoured heuristic: smallest
     column first, then the entry of smallest row occupancy (restricted
-    to units in exact modes).
+    to units over Z).
     """
     cols: dict[int, dict[int, int]] = {
-        j: dict(c) for j, c in matrix.cols.items() if c
+        j: {i: v % p for i, v in c.items() if v % p} if p else dict(c)
+        for j, c in matrix.cols.items()
     }
-    if mode == _MOD_P:
-        for col in cols.values():
-            for i in list(col):
-                v = col[i] % p
-                if v:
-                    col[i] = v
-                else:
-                    del col[i]
-        for j in [j for j, c in cols.items() if not c]:
-            del cols[j]
     rowocc: dict[int, set[int]] = {}
     for j, col in cols.items():
         for i in col:
@@ -373,9 +378,9 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
         if len(col) != nnz:
             heapq.heappush(heap, (len(col), j))
             continue
-        if j in deferred:
+        if j in deferred or j == keep:
             continue
-        if mode == _MOD_P:
+        if p:
             r = min(col, key=lambda i: len(rowocc[i]))
         else:
             units = [i for i, v in col.items() if v == 1 or v == -1]
@@ -384,7 +389,7 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
                 continue
             r = min(units, key=lambda i: len(rowocc[i]))
         v = col[r]
-        if mode == _MOD_P and v != 1:
+        if p and v != 1:
             inv = pow(v, -1, p)
             for i in list(col):
                 col[i] = col[i] * inv % p
@@ -392,7 +397,7 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
         for t in targets:
             tcol = cols[t]
             w = tcol[r]
-            if mode == _MOD_P:
+            if p:
                 for i, cv in col.items():
                     nv = (tcol.get(i, 0) - w * cv) % p
                     if nv:
@@ -413,15 +418,6 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
                     elif i in tcol:
                         del tcol[i]
                         rowocc[i].discard(t)
-                if mode == _EXACT_RANK and tcol:
-                    g = 0
-                    for cv in tcol.values():
-                        g = gcd(g, cv)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for i in tcol:
-                            tcol[i] //= g
             if tcol:
                 deferred.discard(t)
                 heapq.heappush(heap, (len(tcol), t))
@@ -436,10 +432,7 @@ def _sparse_eliminate(matrix: SparseIntMatrix, mode: str, p: int = 0):
         rowocc.pop(r, None)
         del cols[j]
         pivot_rows.append(r)
-    if mode == _MOD_P:
-        return pivot_rows
-    leftover = {j: col for j, col in cols.items() if col}
-    return pivot_rows, leftover
+    return pivot_rows, {j: col for j, col in cols.items() if col}
 
 
 class _Rank(int):
@@ -458,9 +451,8 @@ def _with_pivots(value, pivot_rows: list[int]):
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     """Rank over the prime field F_p, with ``pivot_rows`` attached."""
-    if p < 2:
-        raise ValueError("p must be a prime")
-    pivot_rows = _sparse_eliminate(matrix, _MOD_P, p)
+    _check_prime(p)
+    pivot_rows, _ = _sparse_eliminate(matrix, p)
     return _with_pivots(len(pivot_rows), pivot_rows)
 
 
@@ -475,53 +467,76 @@ def _leftover_block(leftover: dict[int, dict[int, int]]) -> np.ndarray:
     return dense
 
 
+def _smith_factors(matrix: SparseIntMatrix) -> tuple[list[int], tuple[int, ...]]:
+    """The sparse stage's pivot rows, and the invariant factors.
+
+    Unit pivots are split off sparsely; whatever remains (entries all of
+    absolute value >= 2) is finished by the dense reduction.  The two
+    stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
+    factors are the 1s followed by those of the leftover block.
+    """
+    pivot_rows, leftover = _sparse_eliminate(matrix)
+    rest = dense_snf(_leftover_block(leftover)) if leftover else ()
+    return pivot_rows, (1,) * len(pivot_rows) + rest
+
+
 def rank_z(matrix: SparseIntMatrix) -> int:
-    """Exact rank over Z (equivalently over Q).
+    """Exact rank over Z (equivalently over Q): the number of invariant factors.
 
     The result carries the unit-pivot rows of the sparse stage as
-    ``pivot_rows``; the dense remainder adds to the rank only.
+    ``pivot_rows``.
     """
-    pivot_rows, leftover = _sparse_eliminate(matrix, _EXACT_RANK)
-    rest = len(dense_snf(_leftover_block(leftover))) if leftover else 0
-    return _with_pivots(len(pivot_rows) + rest, pivot_rows)
+    pivot_rows, factors = _smith_factors(matrix)
+    return _with_pivots(len(factors), pivot_rows)
 
 
 def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (Smith normal form diagonal).
 
-    Unit pivots are split off sparsely; whatever remains (entries all of
-    absolute value >= 2) is finished by the dense reduction.  The two
-    stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
-    factors are the 1s followed by those of the leftover block.  The
-    result carries the rows of those sparse unit pivots as ``pivot_rows``.
+    The result carries the rows of the sparse unit pivots as
+    ``pivot_rows``.
     """
-    pivot_rows, leftover = _sparse_eliminate(matrix, _EXACT_SNF)
-    rest = dense_snf(_leftover_block(leftover)) if leftover else ()
-    return _with_pivots((1,) * len(pivot_rows) + rest, pivot_rows)
+    pivot_rows, factors = _smith_factors(matrix)
+    return _with_pivots(factors, pivot_rows)
 
 
-def _snf_multiset(matrix: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
-    factors = snf(matrix)
-    return len(factors), tuple(sorted(f for f in factors if f > 1))
+def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
+    """Whether ``col`` lies in the column lattice (p == 0) or F_p-span.
+
+    The vector goes in as one more column that is never a pivot, so one
+    elimination reduces it to a remainder r.  Let P be the pivot columns
+    and L the leftover.  The column operations are unimodular (invertible
+    mod p), so the columns span the same as P and L together, and the
+    vector lies in that span iff r does.  r and L vanish on the pivot
+    rows R, and P[R] is triangular with unit diagonal, so r = P a + L b
+    forces a = 0.  Mod p, L is empty: the vector is in the span iff r is
+    zero.  Over Z, r must lie in the lattice of L.  That lattice is
+    contained in the one of L and r, with the same invariant factors iff
+    the two are equal: otherwise the rank grows, or the cokernel's
+    torsion order drops by the index of the smaller lattice.
+    """
+    j = matrix.ncols
+    cols = {**matrix.cols, j: {i: v for i, v in col.items() if v}}
+    _, leftover = _sparse_eliminate(SparseIntMatrix(matrix.nrows, j + 1, cols), p, keep=j)
+    rest = leftover.pop(j, None)
+    if rest is None:
+        return True
+    if p or not leftover:
+        return False
+    return dense_snf(_leftover_block(leftover)) == dense_snf(
+        _leftover_block({**leftover, j: rest})
+    )
 
 
 def in_column_lattice(matrix: SparseIntMatrix, col: Mapping[int, int]) -> bool:
-    """Whether an integer vector lies in the span-over-Z of the columns.
-
-    Appending a vector of the lattice changes neither rank nor invariant
-    factors; appending anything else changes at least one of them, since
-    the torsion order of the cokernel drops by the index of the smaller
-    lattice (or the rank grows).
-    """
-    base = _snf_multiset(matrix)
-    aug = _snf_multiset(matrix.with_extra_column(col))
-    return base == aug
+    """Whether an integer vector lies in the span-over-Z of the columns."""
+    return _in_span(matrix, col, 0)
 
 
 def in_column_space_mod_p(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
-    base = rank_mod_p(matrix, p)
-    aug = rank_mod_p(matrix.with_extra_column(col), p)
-    return base == aug
+    """Whether an integer vector lies in the F_p-span of the columns."""
+    _check_prime(p)
+    return _in_span(matrix, col, p)
 
 
 # ---------------------------------------------------------------------------
@@ -709,19 +724,30 @@ def _degree_list(complex_: SimplicialComplex, degrees, reduced: bool) -> list[in
     return sorted(set(int(d) for d in degrees))
 
 
-def _boundary_ranks(
+class _Map(NamedTuple):
+    """A reduced boundary map d_k, and the k-faces that were its pivot rows."""
+
+    rank: int
+    torsion: tuple[int, ...]
+    pivot_rows: frozenset[int]
+
+
+def _reduce(
     complex_: SimplicialComplex,
-    ks: Iterable[int],
+    degrees: Sequence[int],
     field: Union[None, int],
     reduced: bool = True,
     sub: Optional[SimplicialComplex] = None,
-) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Rank and torsion of the boundary maps d_k, k in ``ks``.
+) -> tuple[dict[int, AbelianGroup], dict[int, _Map]]:
+    """Homology groups in ``degrees``, and the boundary maps reduced for them.
 
-    ``field`` is None for Smith forms over Z (rank and torsion), 0 for
-    ranks over Q and a prime p for ranks over F_p (torsion is then
+    ``field`` is None for integer groups (Smith forms: rank and torsion),
+    0 for ranks over Q and a prime p for ranks over F_p (torsion is then
     empty).  Chains are those of the complex, augmented when
-    ``reduced``, or those of the pair (complex, sub), never augmented.
+    ``reduced``, or those of the pair (complex, sub), never augmented:
+    a pair's basis is the ambient faces minus the subcomplex faces.
+    H_k has rank n_k - r_k - r_{k+1} and the torsion of d_{k+1}.  The
+    maps are returned by degree; ``pivot_rows`` index the k-faces.
 
     Each map is reduced as its transpose d_k^T, the coboundary, which
     has the same Smith form.  The maps go from the lowest degree up, and
@@ -729,47 +755,57 @@ def _boundary_ranks(
     d_{k-1}^T in this call (*clearing*, after Chen and Kerber, on
     coboundaries as in de Silva, Morozov and Vejdemo-Johansson).  This is
     exact.  Let C be the pivot columns of d_{k-1}^T, as they stood when
-    chosen: each is a combination of columns of d_{k-1}^T, integral in
-    the Smith mode, so d_k^T C = 0, since d_{k-1} d_k = 0.  Restricted to
-    the pivot rows R, C is triangular with a +-1 diagonal (a unit
-    diagonal mod p), hence invertible over Z (over F_p).  Splitting
-    d_k^T C = 0 along R and the other rows N gives
-    d_k^T[:, R] = -d_k^T[:, N] C[N] C[R]^-1, so every dropped column is
-    an integer (F_p-) combination of the kept ones.  The column lattice
-    (space) of d_k^T is therefore unchanged, and with it its Smith form
-    (rank), which is that of d_k.  A map is computed only when ``ks``
-    asks for it, never just to clear the one above.
+    chosen: each is a combination of columns of d_{k-1}^T, integral over
+    Z, so d_k^T C = 0, since d_{k-1} d_k = 0.  Restricted to the pivot
+    rows R, C is triangular with a +-1 diagonal (a unit diagonal mod p),
+    hence invertible over Z (over F_p).  Splitting d_k^T C = 0 along R
+    and the other rows N gives d_k^T[:, R] = -d_k^T[:, N] C[N] C[R]^-1,
+    so every dropped column is an integer (F_p-) combination of the kept
+    ones.  The column lattice (space) of d_k^T is therefore unchanged,
+    and with it its Smith form (rank), which is that of d_k.  A map is
+    computed only when ``degrees`` need it, never just to clear the one
+    above.
     """
-    faces_cache: dict[int, tuple] = {}
+    if field:
+        _check_prime(field)
+    bases: dict[int, tuple] = {}
 
-    def faces(k: int) -> tuple:
-        if k not in faces_cache:
-            if sub is not None:
-                faces_cache[k] = _relative_faces(complex_, sub, k) if k >= 0 else ()
+    def basis(k: int) -> tuple:
+        if k not in bases:
+            if sub is None:
+                bases[k] = complex_.faces(k) if reduced or k >= 0 else ()
+            elif k < 0:
+                bases[k] = ()
             else:
-                faces_cache[k] = complex_.faces(k) if reduced or k >= 0 else ()
-        return faces_cache[k]
+                inside = set(sub.faces(k))
+                bases[k] = tuple(f for f in complex_.faces(k) if f not in inside)
+        return bases[k]
 
-    out: dict[int, tuple[int, tuple[int, ...]]] = {}
-    cleared: set[int] = set()  # (k-1)-faces that were pivot rows of d_{k-1}^T
-    for k in sorted(set(ks)):
-        if k - 1 not in out:
-            cleared = set()
-        cols, rows = faces(k), faces(k - 1)
+    maps: dict[int, _Map] = {}
+    cleared: frozenset[int] = frozenset()  # (k-1)-faces, pivot rows of d_{k-1}^T
+    for k in sorted({d for k in degrees for d in (k, k + 1)}):
+        if k - 1 not in maps:
+            cleared = frozenset()
+        cols, rows = basis(k), basis(k - 1)
         if cleared:
             rows = tuple(f for i, f in enumerate(rows) if i not in cleared)
         if not cols or not rows:
-            out[k], cleared = (0, ()), set()
-            continue
-        mat = boundary_matrix(complex_, k, rows=rows, cols=cols).transpose()
-        if field is None:
-            result = snf(mat)
-            out[k] = len(result), tuple(f for f in result if f > 1)
+            maps[k] = _Map(0, (), frozenset())
         else:
-            result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
-            out[k] = int(result), ()
-        cleared = set(result.pivot_rows)
-    return out
+            mat = boundary_matrix(complex_, k, rows=rows, cols=cols).transpose()
+            if field is None:
+                result = snf(mat)
+                torsion = tuple(f for f in result if f > 1)
+                maps[k] = _Map(len(result), torsion, frozenset(result.pivot_rows))
+            else:
+                result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
+                maps[k] = _Map(int(result), (), frozenset(result.pivot_rows))
+        cleared = maps[k].pivot_rows
+    groups = {
+        k: AbelianGroup(len(basis(k)) - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
+        for k in degrees
+    }
+    return groups, maps
 
 
 def homology(
@@ -798,18 +834,9 @@ def homology(
         if coefficients is not None:
             raise ValueError("generators are only computed over Z")
         return _homology_with_generators(complex_, degs, reduced)
-    if coefficients is not None and coefficients < 2:
-        raise ValueError("coefficients must be None or a prime")
-    lo = -1 if reduced else 0
-    wanted = [k for k in degs if lo <= k <= complex_.dim and complex_.faces(k)]
-    ranks = _boundary_ranks(
-        complex_, {d for k in wanted for d in (k, k + 1)}, coefficients, reduced
-    )
-    groups: dict[int, AbelianGroup] = {k: TRIVIAL_GROUP for k in degs}
-    for k in wanted:
-        rk1, tors = ranks[k + 1]
-        groups[k] = AbelianGroup(len(complex_.faces(k)) - ranks[k][0] - rk1, tors)
-    return HomologyResult(groups, coefficients)
+    if coefficients == 0:
+        raise ValueError("coefficients must be None or a prime, got 0")
+    return HomologyResult(_reduce(complex_, degs, coefficients, reduced)[0], coefficients)
 
 
 def betti_numbers(
@@ -824,15 +851,10 @@ def betti_numbers(
     never touched, which keeps low-degree questions cheap on complexes
     whose top boundary matrices are large.
     """
-    if complex_.is_void:
-        return {}
     lo = -1 if reduced else 0
     hi = complex_.dim if through is None else min(through, complex_.dim)
-    ranks = _boundary_ranks(complex_, range(lo, hi + 2), p, reduced)
-    return {
-        k: len(complex_.faces(k)) - ranks[k][0] - ranks[k + 1][0]
-        for k in range(lo, hi + 1)
-    }
+    groups, _ = _reduce(complex_, range(lo, hi + 1), p, reduced)
+    return {k: g.rank for k, g in groups.items()}
 
 
 def homological_connectivity(
@@ -858,13 +880,6 @@ def homological_connectivity(
 # relative homology
 
 
-def _relative_faces(
-    complex_: SimplicialComplex, sub: SimplicialComplex, k: int
-) -> tuple:
-    inside = set(sub.faces(k))
-    return tuple(f for f in complex_.faces(k) if f not in inside)
-
-
 def relative_homology(
     complex_: SimplicialComplex,
     sub: SimplicialComplex,
@@ -878,22 +893,12 @@ def relative_homology(
     """
     if not sub.is_subcomplex_of(complex_):
         raise ValueError("second argument is not a subcomplex of the first")
-    if complex_.is_void:
-        return HomologyResult({})
     degs = (
-        list(range(0, complex_.dim + 1))
+        range(0, complex_.dim + 1)
         if degrees is None
         else _degree_list(complex_, degrees, reduced=False)
     )
-    ranks = _boundary_ranks(
-        complex_, {d for k in degs for d in (k, k + 1)}, None, sub=sub
-    )
-    groups: dict[int, AbelianGroup] = {}
-    for k in degs:
-        nk = len(complex_.faces(k)) - len(sub.faces(k)) if k >= 0 else 0
-        rk1, tors = ranks[k + 1]
-        groups[k] = AbelianGroup(nk - ranks[k][0] - rk1, tors)
-    return HomologyResult(groups)
+    return HomologyResult(_reduce(complex_, degs, None, sub=sub)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -926,12 +931,33 @@ def is_cycle(chain: Chain, complex_: Optional[SimplicialComplex] = None) -> bool
 def is_boundary(
     chain: Chain, complex_: SimplicialComplex, mod: int = 0
 ) -> bool:
-    """Whether the chain bounds in the complex (over Z, or over F_mod)."""
-    vec = chain_vector(chain, complex_)
-    mat = boundary_matrix(complex_, chain.degree + 1)
+    """Whether the chain bounds in the complex (over Z, or over F_mod).
+
+    A chain z of degree k bounds only if it is a cycle in the query's
+    arithmetic (d_k z = 0, or = 0 mod p), which is checked first.  Then
+    d_0^T, ..., d_k^T are reduced from the bottom up as in
+    :func:`_reduce`, and z is tested on the k-faces N that were not
+    pivot rows of d_k^T, against d_{k+1} restricted to the rows N.  That
+    is exact.  Let C be the pivot columns of d_k^T as they stood when
+    chosen, so C = d_k^T W for an integral (F_p) W, and R their pivot
+    rows.  A k-cycle x has x^T C = (d_k x)^T W = 0, and C[R] is
+    triangular with unit diagonal, so x_R is fixed by x_N: dropping R is
+    injective on cycles.  If z_N = d_{k+1}[N] y, then z - d_{k+1} y is a
+    cycle that vanishes on N, hence zero.  So z bounds iff z_N lies in
+    the column lattice (space) of d_{k+1}[N].
+    """
     if mod:
-        return in_column_space_mod_p(mat, vec, mod)
-    return in_column_lattice(mat, vec)
+        _check_prime(mod)
+    chain_vector(chain, complex_)  # faces outside the complex raise
+    if any(c % mod if mod else c for _, c in chain.boundary().items()):
+        return False
+    k = chain.degree
+    _, maps = _reduce(complex_, range(-1, k), mod or None)
+    pivots = maps[k].pivot_rows if k in maps else frozenset()
+    rows = [f for i, f in enumerate(complex_.faces(k)) if i not in pivots]
+    row_of = {f: i for i, f in enumerate(rows)}
+    vec = {row_of[f]: c for f, c in chain.items() if f in row_of}
+    return _in_span(boundary_matrix(complex_, k + 1, rows=rows), vec, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -732,7 +732,6 @@ CLAIMS: tuple[Claim, ...] = (
         "theta_decomposition",
         (6,),
         "the column-1/row-1 decomposition of the 6-row complex",
-        True,
     ),
     Claim(
         "filtration-quotients",

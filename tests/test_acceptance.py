@@ -8,7 +8,7 @@ Criterion 14 compares homology of complexes with tens of thousands of
 facets and can take hours; it is skipped unless the environment
 variable ``CYCLEFREE_LONG`` is set to a nonempty value other than
 ``0``, and a skip is reported by pytest rather than counted as a
-failure.  The same switch adds the n=6 half of criterion 10.
+failure.
 """
 
 import os
@@ -86,10 +86,7 @@ def test_criterion_09_links_are_reduced_spec_complexes():
 
 
 def test_criterion_10_theta_decomposition():
-    ids = ["theta5-decomposition"]
-    if LONG:
-        ids.append("theta6-decomposition")
-    check("10", ids, long=LONG)
+    check("10", ["theta5-decomposition", "theta6-decomposition"])
 
 
 def test_criterion_11_filtration_quotients():

@@ -7,12 +7,12 @@ from cyclefree import (
     alpha_cycles,
     as_config,
     facet_from_order,
-    induced_arcs,
     is_cycle_free,
     is_nontaking,
     make_spec,
     reduced_spec,
 )
+from cyclefree.boards import _arcs
 
 
 def test_square_is_a_plain_pair():
@@ -89,7 +89,7 @@ class TestBoardSpec:
 class TestInducedDigraph:
     def test_arcs_only_from_the_distinguished_block(self):
         s = make_spec(3, 1, 1)
-        arcs = induced_arcs([(1, 2), (-1, 3), (2, 4)], s)
+        arcs = _arcs(as_config([(1, 2), (-1, 3), (2, 4)]), s)
         # (-1, 3) has a free row, (2, 4) a free column
         assert arcs == {1: (2, Square(1, 2))}
 

@@ -7,6 +7,7 @@ frozen output of it.
 """
 
 import types
+from math import isqrt
 
 import pytest
 
@@ -30,6 +31,7 @@ from cyclefree import (
 )
 from cyclefree.homology import (
     SparseIntMatrix,
+    _is_prime,
     _smith,
     in_column_lattice,
     in_column_space_mod_p,
@@ -158,11 +160,6 @@ class TestBoundaryMatrix:
         mat = boundary_matrix(K("a", "b"), 0)
         assert mat.to_dense() == [[1, 1]]
 
-    def test_extra_column(self):
-        mat = SparseIntMatrix(2, 1, {0: {0: 2}})
-        aug = mat.with_extra_column({1: 5})
-        assert aug.to_dense() == [[2, 0], [0, 5]]
-
 
 class TestSmithNormalForm:
     def test_known_diagonals(self):
@@ -208,6 +205,33 @@ class TestSmithNormalForm:
         assert not in_column_lattice(mat, {0: 1})
         # 2 is invertible mod 3, so the same vector lies in the mod-3 span
         assert in_column_space_mod_p(mat, {0: 1}, 3)
+        assert not in_column_space_mod_p(mat, {0: 1}, 2)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, -2])
+    def test_non_prime_coefficients_are_rejected(self, p):
+        gen, _ = Presentation(RP2, 1).generators[0]
+        calls = [
+            lambda: homology(RP2, coefficients=p),
+            lambda: homology(EMPTYFACE, coefficients=p),  # no map to reduce
+            lambda: betti_numbers(RP2, p),
+            lambda: is_boundary(gen, RP2, mod=p),
+            lambda: rank_mod_p(boundary_matrix(RP2, 1), p),
+            lambda: in_column_space_mod_p(boundary_matrix(RP2, 1), {0: 1}, p),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"prime, got {p}"):
+                call()
+
+    def test_primality_test(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(-3, 5000) if _is_prime(n) != trial(n)] == []
+        # strong pseudoprimes to the bases 2; 2, 3, 5, 7; and the primes to 37
+        assert not any(_is_prime(n) for n in (2047, 3215031751, 318665857834031151167461))
+        # large primes are accepted at once, not by trial division
+        assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
+        assert betti_numbers(RP2, 2**61 - 1) == betti_numbers(RP2, 3)
 
 
 class TestKnownHomology:

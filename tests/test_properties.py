@@ -179,7 +179,7 @@ def test_join_multiplies_f_polynomials(k1, k2):
 def test_star_is_join_of_vertex_and_link(c):
     v = c.vertices[0]
     cone = join(SimplicialComplex.from_facets([[v]]), c.link(v))
-    assert c.star(v) == cone
+    assert cone.facets == {f for f in c.facets if v in f}
 
 
 @SETTINGS
