@@ -102,7 +102,6 @@ from .verify import (
     Claim,
     ClaimReport,
     NOT_AT_DESK_SCALE,
-    bounds,
     gamma_p,
     mu_n,
     mu_nm,
@@ -120,7 +119,6 @@ __all__ = [
     "Bijection",
     "BoardSpec",
     "boundary_matrix",
-    "bounds",
     "Chain",
     "chain_vector",
     "Claim",

@@ -16,7 +16,6 @@ complex.
 
 from __future__ import annotations
 
-import itertools
 from functools import reduce
 from typing import Iterable
 
@@ -144,7 +143,7 @@ class SphereEmbedding:
 
 def fundamental_cycle(e: SphereEmbedding) -> Chain:
     """The top cycle of an embedded sphere: join of the factor cycles."""
-    return reduce(_join_chains, (_factor_cycle(f) for f in e.factors))
+    return e.fundamental
 
 
 def _domino(a: Square, b: Square) -> SimplicialComplex:
@@ -207,23 +206,6 @@ def odd_sphere(k: int) -> SphereEmbedding:
     return SphereEmbedding(factors, spec)
 
 
-def _block_placements(rows: tuple[int, ...], cols: tuple[int, ...]):
-    """Ways to put one horizontal and one vertical domino in a 3 x 3 zone.
-
-    The pair exactly consumes the zone: the horizontal domino takes one
-    row and two columns, the vertical one takes the leftover column and
-    the two leftover rows.
-    """
-    for r in rows:
-        r1, r2 = (x for x in rows if x != r)
-        for c1, c2 in itertools.combinations(cols, 2):
-            (c,) = (x for x in cols if x not in (c1, c2))
-            yield (
-                _domino(Square(r, c1), Square(r, c2)),
-                _domino(Square(r1, c), Square(r2, c)),
-            )
-
-
 def tight_sphere(k: int) -> SphereEmbedding:
     """The 2k-sphere inside the cycle-free complex of the (3k+2)-board.
 
@@ -233,33 +215,14 @@ def tight_sphere(k: int) -> SphereEmbedding:
     vertical domino on column 3b+5 covering rows 3b+3, 3b+4.  All
     block arcs point to strictly higher rows, the core's arcs stay
     below them, so no facet can close a cycle; the constructor
-    re-checks this square by square.  Should the default pattern ever
-    fail its own validation, every other placement inside the block
-    zones is tried before giving up.
+    re-checks this square by square.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     spec = make_spec(3 * k + 2)
-    core = list(two_sphere().factors)
-    default = []
+    factors = list(two_sphere().factors)
     for b in range(1, k):
         r = 3 * b + 2
-        default.append(_domino(Square(r, r + 1), Square(r, r + 2)))
-        default.append(_domino(Square(r + 1, r + 3), Square(r + 2, r + 3)))
-    try:
-        return SphereEmbedding(core + default, spec)
-    except ValueError:
-        zones = [
-            ((3 * b + 2, 3 * b + 3, 3 * b + 4), (3 * b + 3, 3 * b + 4, 3 * b + 5))
-            for b in range(1, k)
-        ]
-        for combo in itertools.product(
-            *(_block_placements(rows, cols) for rows, cols in zones)
-        ):
-            try:
-                return SphereEmbedding(
-                    core + [d for pair in combo for d in pair], spec
-                )
-            except ValueError:
-                continue
-        raise RuntimeError("no cycle-free block placement exists") from None
+        factors.append(_domino(Square(r, r + 1), Square(r, r + 2)))
+        factors.append(_domino(Square(r + 1, r + 3), Square(r + 2, r + 3)))
+    return SphereEmbedding(factors, spec)

@@ -16,21 +16,22 @@ it shares no elimination code with the sparse route and serves as an
 oracle in the test suite.  The same dense routine finishes the sparse
 route's leftover block and, tracking transforms, builds presentations.
 
-The sparse elimination also reports the rows it pivoted on, in pivot
-order; :func:`snf`, :func:`rank_z` and :func:`rank_mod_p` hand them on
-as a ``pivot_rows`` attribute of their (otherwise plain) result.
+The sparse elimination works on rows and records the columns it
+pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
+:func:`rank_mod_p` hand them on as a ``pivot_cols`` attribute of their
+(otherwise plain) result.  For a boundary map d_k these are k-faces.
 :func:`homology`, :func:`betti_numbers`, :func:`relative_homology` and
 :func:`is_boundary` share one core, :func:`_reduce`.  It reduces the
-transposes d_k^T (coboundary maps) that a query needs from the lowest
-degree up and uses them for *clearing*: a k-face that was a pivot row
-of d_k^T is left out of d_{k+1}^T, which changes neither the column
-lattice of d_{k+1}^T nor its Smith form, that of d_{k+1} (see
-:func:`_reduce` for the argument).  :func:`is_boundary` drops the same
-k-faces from the cycle it tests and from the rows of d_{k+1}.
+maps d_k that a query needs, as :func:`boundary_matrix` builds them,
+from the lowest degree up and uses them for *clearing*: a k-face that
+was a pivot column of d_k is left out of the rows of d_{k+1}, which
+keeps the row lattice of d_{k+1} and so its Smith form (see
+:func:`_reduce` for the argument).  :func:`is_boundary` reduces that
+same cleared map, with the cycle it tests as one more column.
 
 Membership of a vector in the column lattice (or F_p-span) of a matrix
 takes one elimination and no transform bookkeeping: the vector goes in
-as one more column that is never a pivot (see :func:`_in_span`).
+as one more column that never holds a pivot (see :func:`_in_span`).
 """
 
 from __future__ import annotations
@@ -263,14 +264,6 @@ class SparseIntMatrix:
     def column(self, j: int) -> dict[int, int]:
         return dict(self.cols.get(j, {}))
 
-    def transpose(self) -> "SparseIntMatrix":
-        """The transpose; a boundary map's is the coboundary map."""
-        cols: dict[int, dict[int, int]] = {}
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                cols.setdefault(i, {})[j] = v
-        return SparseIntMatrix(self.ncols, self.nrows, cols)
-
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
@@ -336,196 +329,202 @@ def _check_prime(p: int) -> None:
 
 
 def _sparse_eliminate(matrix: SparseIntMatrix, p: int = 0, keep: Optional[int] = None):
-    """Sparse elimination over Z (``p == 0``) or over F_p (``p`` prime).
+    """Sparse row elimination over Z (``p == 0``) or over F_p (``p`` prime).
 
-    Returns ``(pivot_rows, leftover)``.  ``pivot_rows`` lists the row of
-    each pivot in pivot order.  Once a row is pivoted on, every other
-    column is cleared in it, so the pivot columns (as they stood when
-    chosen) restricted to the pivot rows form a triangular matrix with
+    Returns ``(pivot_cols, leftover)``.  ``pivot_cols`` lists the column
+    of each pivot in pivot order.  Once a column is pivoted on, every
+    other row is cleared in it, so the pivot rows (as they stood when
+    chosen) restricted to the pivot columns form a triangular matrix with
     unit diagonal; :func:`_reduce` relies on that to clear the next
-    coboundary map up.  ``leftover`` holds the other nonzero columns as
-    they end, all zero on the pivot rows.  Over F_p every nonzero entry
-    can be a pivot, so nothing is left over.  Over Z only +-1 entries
-    are pivots, a column with none is deferred, and the column
+    boundary map up.  ``leftover`` maps each other nonzero row to its
+    entries as they end, all zero on the pivot columns.  Over F_p every
+    nonzero entry can be a pivot, so nothing is left over.  Over Z only
+    +-1 entries are pivots, a row with none is deferred, and the row
     operations are unimodular: the invariant factors of the input are
     the pivots' 1s followed by those of the leftover block.
 
-    Column ``keep``, if given, is reduced like any other but never
-    becomes a pivot; it is in ``leftover`` unless it was reduced to zero.
+    Column ``keep``, if given, is reduced like any other but never holds
+    a pivot; a row left with entries in it alone is in ``leftover``.
 
-    Pivots are chosen by a Markowitz-flavoured heuristic: smallest
-    column first, then the entry of smallest row occupancy (restricted
-    to units over Z).
+    Pivots are chosen by a Markowitz-flavoured heuristic: shortest row
+    first, then the entry of smallest column occupancy (restricted to
+    units over Z).
     """
-    cols: dict[int, dict[int, int]] = {
-        j: {i: v % p for i, v in c.items() if v % p} if p else dict(c)
-        for j, c in matrix.cols.items()
-    }
-    rowocc: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for i in col:
-            rowocc.setdefault(i, set()).add(j)
-    heap = [(len(col), j) for j, col in cols.items()]
+    rows: dict[int, dict[int, int]] = {}
+    colocc: dict[int, set[int]] = {}
+    for j, col in matrix.cols.items():
+        if p:
+            col = {i: v % p for i, v in col.items() if v % p}
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+        if col:
+            colocc[j] = set(col)
+    heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
     deferred: set[int] = set()
-    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
     while heap:
-        nnz, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None or not col:
-            cols.pop(j, None)
+        nnz, i = heapq.heappop(heap)
+        row = rows.get(i)
+        if not row:
+            rows.pop(i, None)
             continue
-        if len(col) != nnz:
-            heapq.heappush(heap, (len(col), j))
+        if len(row) != nnz:
+            heapq.heappush(heap, (len(row), i))
             continue
-        if j in deferred or j == keep:
+        if i in deferred:
             continue
         if p:
-            r = min(col, key=lambda i: len(rowocc[i]))
+            candidates = row if keep is None else [j for j in row if j != keep]
         else:
-            units = [i for i, v in col.items() if v == 1 or v == -1]
-            if not units:
-                deferred.add(j)
-                continue
-            r = min(units, key=lambda i: len(rowocc[i]))
-        v = col[r]
+            candidates = [j for j, v in row.items() if (v == 1 or v == -1) and j != keep]
+        if not candidates:
+            deferred.add(i)
+            continue
+        c = min(candidates, key=lambda j: len(colocc[j]))
+        v = row[c]
         if p and v != 1:
             inv = pow(v, -1, p)
-            for i in list(col):
-                col[i] = col[i] * inv % p
-        targets = rowocc[r] - {j}
+            for j in list(row):
+                row[j] = row[j] * inv % p
+        targets = colocc[c] - {i}
         for t in targets:
-            tcol = cols[t]
-            w = tcol[r]
+            trow = rows[t]
+            w = trow[c]
             if p:
-                for i, cv in col.items():
-                    nv = (tcol.get(i, 0) - w * cv) % p
+                for j, rv in row.items():
+                    nv = (trow.get(j, 0) - w * rv) % p
                     if nv:
-                        if i not in tcol:
-                            rowocc[i].add(t)
-                        tcol[i] = nv
-                    elif i in tcol:
-                        del tcol[i]
-                        rowocc[i].discard(t)
+                        if j not in trow:
+                            colocc[j].add(t)
+                        trow[j] = nv
+                    elif j in trow:
+                        del trow[j]
+                        colocc[j].discard(t)
             else:
                 f = w * v  # v in {1,-1}: w / v
-                for i, cv in col.items():
-                    nv = tcol.get(i, 0) - f * cv
+                for j, rv in row.items():
+                    nv = trow.get(j, 0) - f * rv
                     if nv:
-                        if i not in tcol:
-                            rowocc[i].add(t)
-                        tcol[i] = nv
-                    elif i in tcol:
-                        del tcol[i]
-                        rowocc[i].discard(t)
-            if tcol:
+                        if j not in trow:
+                            colocc[j].add(t)
+                        trow[j] = nv
+                    elif j in trow:
+                        del trow[j]
+                        colocc[j].discard(t)
+            if trow:
                 deferred.discard(t)
-                heapq.heappush(heap, (len(tcol), t))
+                heapq.heappush(heap, (len(trow), t))
             else:
-                # each entry left rowocc as it was zeroed above
-                del cols[t]
+                # each entry left colocc as it was zeroed above
+                del rows[t]
         # retire pivot row and column
-        for i in col:
-            occ = rowocc.get(i)
+        for j in row:
+            occ = colocc.get(j)
             if occ is not None:
-                occ.discard(j)
-        rowocc.pop(r, None)
-        del cols[j]
-        pivot_rows.append(r)
-    return pivot_rows, {j: col for j, col in cols.items() if col}
+                occ.discard(i)
+        colocc.pop(c, None)
+        del rows[i]
+        pivot_cols.append(c)
+    return pivot_cols, {i: row for i, row in rows.items() if row}
 
 
 class _Rank(int):
-    """A rank that also carries the sparse stage's ``pivot_rows``."""
+    """A rank that also carries the sparse stage's ``pivot_cols``."""
 
 
 class _Factors(tuple):
-    """Invariant factors that also carry the sparse stage's ``pivot_rows``."""
+    """Invariant factors that also carry the sparse stage's ``pivot_cols``."""
 
 
-def _with_pivots(value, pivot_rows: list[int]):
+def _with_pivots(value, pivot_cols: list[int]):
     out = _Factors(value) if isinstance(value, tuple) else _Rank(value)
-    out.pivot_rows = pivot_rows
+    out.pivot_cols = pivot_cols
     return out
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank over the prime field F_p, with ``pivot_rows`` attached."""
+    """Rank over the prime field F_p, with ``pivot_cols`` attached."""
     _check_prime(p)
-    pivot_rows, _ = _sparse_eliminate(matrix, p)
-    return _with_pivots(len(pivot_rows), pivot_rows)
+    pivot_cols, _ = _sparse_eliminate(matrix, p)
+    return _with_pivots(len(pivot_cols), pivot_cols)
 
 
 def _leftover_block(leftover: dict[int, dict[int, int]]) -> np.ndarray:
-    """The sparse stage's leftover columns as a dense array on their rows."""
-    rows_used = sorted({i for c in leftover.values() for i in c})
-    rmap = {r: i for i, r in enumerate(rows_used)}
-    dense = np.zeros((len(rows_used), len(leftover)), dtype=object)
-    for jj, col in enumerate(leftover.values()):
-        for i, v in col.items():
-            dense[rmap[i], jj] = v
+    """The sparse stage's leftover rows as the columns of a dense array.
+
+    Its rows are the matrix columns the leftover rows use.  Swapping
+    rows and columns keeps the Smith form.
+    """
+    cols_used = sorted({j for row in leftover.values() for j in row})
+    at = {j: r for r, j in enumerate(cols_used)}
+    dense = np.zeros((len(cols_used), len(leftover)), dtype=object)
+    for c, row in enumerate(leftover.values()):
+        for j, v in row.items():
+            dense[at[j], c] = v
     return dense
 
 
 def _smith_factors(matrix: SparseIntMatrix) -> tuple[list[int], tuple[int, ...]]:
-    """The sparse stage's pivot rows, and the invariant factors.
+    """The sparse stage's pivot columns, and the invariant factors.
 
     Unit pivots are split off sparsely; whatever remains (entries all of
     absolute value >= 2) is finished by the dense reduction.  The two
     stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
     factors are the 1s followed by those of the leftover block.
     """
-    pivot_rows, leftover = _sparse_eliminate(matrix)
+    pivot_cols, leftover = _sparse_eliminate(matrix)
     rest = dense_snf(_leftover_block(leftover)) if leftover else ()
-    return pivot_rows, (1,) * len(pivot_rows) + rest
+    return pivot_cols, (1,) * len(pivot_cols) + rest
 
 
 def rank_z(matrix: SparseIntMatrix) -> int:
     """Exact rank over Z (equivalently over Q): the number of invariant factors.
 
-    The result carries the unit-pivot rows of the sparse stage as
-    ``pivot_rows``.
+    The result carries the unit-pivot columns of the sparse stage as
+    ``pivot_cols``.
     """
-    pivot_rows, factors = _smith_factors(matrix)
-    return _with_pivots(len(factors), pivot_rows)
+    pivot_cols, factors = _smith_factors(matrix)
+    return _with_pivots(len(factors), pivot_cols)
 
 
 def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (Smith normal form diagonal).
 
-    The result carries the rows of the sparse unit pivots as
-    ``pivot_rows``.
+    The result carries the columns of the sparse unit pivots as
+    ``pivot_cols``.
     """
-    pivot_rows, factors = _smith_factors(matrix)
-    return _with_pivots(factors, pivot_rows)
+    pivot_cols, factors = _smith_factors(matrix)
+    return _with_pivots(factors, pivot_cols)
 
 
 def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
     """Whether ``col`` lies in the column lattice (p == 0) or F_p-span.
 
-    The vector goes in as one more column that is never a pivot, so one
-    elimination reduces it to a remainder r.  Let P be the pivot columns
-    and L the leftover.  The column operations are unimodular (invertible
-    mod p), so the columns span the same as P and L together, and the
-    vector lies in that span iff r does.  r and L vanish on the pivot
-    rows R, and P[R] is triangular with unit diagonal, so r = P a + L b
-    forces a = 0.  Mod p, L is empty: the vector is in the span iff r is
-    zero.  Over Z, r must lie in the lattice of L.  That lattice is
-    contained in the one of L and r, with the same invariant factors iff
+    The vector z goes in as one more column that never holds a pivot, so
+    one row elimination turns [A | z] into U [A | z] with U unimodular
+    (invertible mod p), and z = A y iff U z = U A y.  Let C be the pivot
+    columns and D the other columns of A.  The pivot rows are, on C, a
+    triangular matrix T with unit diagonal; the leftover rows are zero on
+    C and hold a block M on D and the remainder r of U z; every other
+    row is zero.  Whatever y_D is, T y_C matches U z on the pivot rows
+    for one integral (F_p) y_C, so z is in the span iff M y_D = r has a
+    solution.  Mod p, a leftover row has no entry outside the z column
+    (any would have been a pivot), so z is in the span iff no row is
+    left over.  Over Z, r must lie in the lattice of M.  That lattice is
+    contained in the one of M and r, with the same invariant factors iff
     the two are equal: otherwise the rank grows, or the cokernel's
     torsion order drops by the index of the smaller lattice.
     """
     j = matrix.ncols
     cols = {**matrix.cols, j: {i: v for i, v in col.items() if v}}
     _, leftover = _sparse_eliminate(SparseIntMatrix(matrix.nrows, j + 1, cols), p, keep=j)
-    rest = leftover.pop(j, None)
-    if rest is None:
+    if not any(j in row for row in leftover.values()):
         return True
-    if p or not leftover:
+    if p:
         return False
-    return dense_snf(_leftover_block(leftover)) == dense_snf(
-        _leftover_block({**leftover, j: rest})
-    )
+    block = {i: {c: v for c, v in row.items() if c != j} for i, row in leftover.items()}
+    return dense_snf(_leftover_block(block)) == dense_snf(_leftover_block(leftover))
 
 
 def in_column_lattice(matrix: SparseIntMatrix, col: Mapping[int, int]) -> bool:
@@ -674,19 +673,13 @@ def dense_snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 class HomologyResult:
-    """Homology groups per degree, with optional generator chains."""
+    """Homology groups per degree."""
 
-    __slots__ = ("groups", "coefficients", "generators")
+    __slots__ = ("groups", "coefficients")
 
-    def __init__(
-        self,
-        groups: dict[int, AbelianGroup],
-        coefficients: Union[None, int] = None,
-        generators: Optional[dict[int, tuple]] = None,
-    ):
+    def __init__(self, groups: dict[int, AbelianGroup], coefficients: Union[None, int] = None):
         self.groups = dict(groups)
         self.coefficients = coefficients
-        self.generators = generators or {}
 
     def group(self, k: int) -> AbelianGroup:
         return self.groups.get(k, TRIVIAL_GROUP)
@@ -725,11 +718,11 @@ def _degree_list(complex_: SimplicialComplex, degrees, reduced: bool) -> list[in
 
 
 class _Map(NamedTuple):
-    """A reduced boundary map d_k, and the k-faces that were its pivot rows."""
+    """A reduced boundary map d_k, and the k-faces that were its pivot columns."""
 
     rank: int
     torsion: tuple[int, ...]
-    pivot_rows: frozenset[int]
+    pivot_cols: frozenset[int]
 
 
 def _reduce(
@@ -747,27 +740,25 @@ def _reduce(
     ``reduced``, or those of the pair (complex, sub), never augmented:
     a pair's basis is the ambient faces minus the subcomplex faces.
     H_k has rank n_k - r_k - r_{k+1} and the torsion of d_{k+1}.  The
-    maps are returned by degree; ``pivot_rows`` index the k-faces.
+    maps are returned by degree; ``pivot_cols`` index the k-faces.
 
-    Each map is reduced as its transpose d_k^T, the coboundary, which
-    has the same Smith form.  The maps go from the lowest degree up, and
-    d_k^T is built only on the (k-1)-faces that were not pivot rows of
-    d_{k-1}^T in this call (*clearing*, after Chen and Kerber, on
-    coboundaries as in de Silva, Morozov and Vejdemo-Johansson).  This is
-    exact.  Let C be the pivot columns of d_{k-1}^T, as they stood when
-    chosen: each is a combination of columns of d_{k-1}^T, integral over
-    Z, so d_k^T C = 0, since d_{k-1} d_k = 0.  Restricted to the pivot
-    rows R, C is triangular with a +-1 diagonal (a unit diagonal mod p),
-    hence invertible over Z (over F_p).  Splitting d_k^T C = 0 along R
-    and the other rows N gives d_k^T[:, R] = -d_k^T[:, N] C[N] C[R]^-1,
-    so every dropped column is an integer (F_p-) combination of the kept
-    ones.  The column lattice (space) of d_k^T is therefore unchanged,
-    and with it its Smith form (rank), which is that of d_k.  A map is
-    computed only when ``degrees`` need it, never just to clear the one
-    above.
+    Each map d_k is reduced by rows, so its pivots are k-faces.  The
+    maps go from the lowest degree up, and d_k is built only on the
+    (k-1)-faces that were not pivot columns of d_{k-1} in this call
+    (*clearing*, after Chen and Kerber; eliminating rows of d_k is
+    reducing the coboundary, as in de Silva, Morozov and
+    Vejdemo-Johansson).  This is exact.  Let P be the pivot rows of
+    d_{k-1}, as they stood when chosen: each is a combination of rows of
+    d_{k-1}, integral over Z, so P d_k = 0, since d_{k-1} d_k = 0.
+    Restricted to the pivot columns C, P is triangular with a +-1
+    diagonal (a unit diagonal mod p), hence invertible over Z (over
+    F_p).  Splitting P d_k = 0 along C and the other columns N gives
+    d_k[C] = -P[:, C]^-1 P[:, N] d_k[N], so every dropped row is an
+    integer (F_p-) combination of the kept ones.  Row operations turn
+    d_k into d_k[N] above zero rows, so its Smith form (rank) is
+    unchanged.  A map is computed only when ``degrees`` need it, never
+    just to clear the one above.
     """
-    if field:
-        _check_prime(field)
     bases: dict[int, tuple] = {}
 
     def basis(k: int) -> tuple:
@@ -782,7 +773,7 @@ def _reduce(
         return bases[k]
 
     maps: dict[int, _Map] = {}
-    cleared: frozenset[int] = frozenset()  # (k-1)-faces, pivot rows of d_{k-1}^T
+    cleared: frozenset[int] = frozenset()  # (k-1)-faces, pivot columns of d_{k-1}
     for k in sorted({d for k in degrees for d in (k, k + 1)}):
         if k - 1 not in maps:
             cleared = frozenset()
@@ -792,15 +783,15 @@ def _reduce(
         if not cols or not rows:
             maps[k] = _Map(0, (), frozenset())
         else:
-            mat = boundary_matrix(complex_, k, rows=rows, cols=cols).transpose()
+            mat = boundary_matrix(complex_, k, rows=rows, cols=cols)
             if field is None:
                 result = snf(mat)
                 torsion = tuple(f for f in result if f > 1)
-                maps[k] = _Map(len(result), torsion, frozenset(result.pivot_rows))
+                maps[k] = _Map(len(result), torsion, frozenset(result.pivot_cols))
             else:
                 result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
-                maps[k] = _Map(int(result), (), frozenset(result.pivot_rows))
-        cleared = maps[k].pivot_rows
+                maps[k] = _Map(int(result), (), frozenset(result.pivot_cols))
+        cleared = maps[k].pivot_cols
     groups = {
         k: AbelianGroup(len(basis(k)) - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
         for k in degrees
@@ -813,7 +804,6 @@ def homology(
     degrees=None,
     coefficients: Union[None, int] = None,
     reduced: bool = True,
-    generators: bool = False,
 ) -> HomologyResult:
     """Homology of a complex, reduced by default.
 
@@ -821,21 +811,15 @@ def homology(
     forms of the boundary matrices; a prime ``p`` computes dimensions of
     the F_p homology instead (the result's groups are then free of
     torsion by construction and ``rank`` means F_p-dimension).
-
-    With ``generators=True`` (integer coefficients only) each group
-    comes with representative cycles; this routes the relevant boundary
-    matrices through dense transform-tracking Smith reduction, so keep
-    it to complexes of moderate size.
+    Representative cycles come from :class:`Presentation`.
     """
+    if coefficients == 0:
+        raise ValueError("coefficients must be None or a prime, got 0")
+    if coefficients is not None:
+        _check_prime(coefficients)
     if complex_.is_void:
         return HomologyResult({}, coefficients)
     degs = _degree_list(complex_, degrees, reduced)
-    if generators:
-        if coefficients is not None:
-            raise ValueError("generators are only computed over Z")
-        return _homology_with_generators(complex_, degs, reduced)
-    if coefficients == 0:
-        raise ValueError("coefficients must be None or a prime, got 0")
     return HomologyResult(_reduce(complex_, degs, coefficients, reduced)[0], coefficients)
 
 
@@ -851,6 +835,8 @@ def betti_numbers(
     never touched, which keeps low-degree questions cheap on complexes
     whose top boundary matrices are large.
     """
+    if p:
+        _check_prime(p)
     lo = -1 if reduced else 0
     hi = complex_.dim if through is None else min(through, complex_.dim)
     groups, _ = _reduce(complex_, range(lo, hi + 1), p, reduced)
@@ -935,16 +921,17 @@ def is_boundary(
 
     A chain z of degree k bounds only if it is a cycle in the query's
     arithmetic (d_k z = 0, or = 0 mod p), which is checked first.  Then
-    d_0^T, ..., d_k^T are reduced from the bottom up as in
-    :func:`_reduce`, and z is tested on the k-faces N that were not
-    pivot rows of d_k^T, against d_{k+1} restricted to the rows N.  That
-    is exact.  Let C be the pivot columns of d_k^T as they stood when
-    chosen, so C = d_k^T W for an integral (F_p) W, and R their pivot
-    rows.  A k-cycle x has x^T C = (d_k x)^T W = 0, and C[R] is
-    triangular with unit diagonal, so x_R is fixed by x_N: dropping R is
-    injective on cycles.  If z_N = d_{k+1}[N] y, then z - d_{k+1} y is a
-    cycle that vanishes on N, hence zero.  So z bounds iff z_N lies in
-    the column lattice (space) of d_{k+1}[N].
+    d_0, ..., d_k are reduced from the bottom up as in :func:`_reduce`,
+    and z is tested on the k-faces N that were not pivot columns of d_k:
+    the cleared map d_{k+1}[N] that :func:`_reduce` would reduce next,
+    with z_N as one more column (see :func:`_in_span`).  That is exact.
+    Let P be the pivot rows of d_k as they stood when chosen, so
+    P = W d_k for an integral (F_p) W, and C their pivot columns.  A
+    k-cycle x has P x = W d_k x = 0, and P[:, C] is triangular with unit
+    diagonal, so x_C is fixed by x_N: dropping C is injective on cycles.
+    If z_N = d_{k+1}[N] y, then z - d_{k+1} y is a cycle that vanishes
+    on N, hence zero.  So z bounds iff z_N lies in the column lattice
+    (space) of d_{k+1}[N].
     """
     if mod:
         _check_prime(mod)
@@ -953,7 +940,7 @@ def is_boundary(
         return False
     k = chain.degree
     _, maps = _reduce(complex_, range(-1, k), mod or None)
-    pivots = maps[k].pivot_rows if k in maps else frozenset()
+    pivots = maps[k].pivot_cols if k in maps else frozenset()
     rows = [f for i, f in enumerate(complex_.faces(k)) if i not in pivots]
     row_of = {f: i for i, f in enumerate(rows)}
     vec = {row_of[f]: c for f, c in chain.items() if f in row_of}
@@ -1042,23 +1029,6 @@ class Presentation:
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(o for o in self._all_orders if o != 1)
-
-
-def _homology_with_generators(
-    complex_: SimplicialComplex, degs: list[int], reduced: bool
-) -> HomologyResult:
-    groups: dict[int, AbelianGroup] = {}
-    gens: dict[int, tuple] = {}
-    for k in degs:
-        if k < 0 or k > complex_.dim:
-            res = homology(complex_, degrees=[k], reduced=reduced)
-            groups[k] = res.group(k)
-            gens[k] = ()
-            continue
-        pres = Presentation(complex_, k, reduced=reduced)
-        groups[k] = pres.group
-        gens[k] = pres.generators
-    return HomologyResult(groups, None, gens)
 
 
 @dataclass(frozen=True)

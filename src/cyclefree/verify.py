@@ -60,7 +60,6 @@ __all__ = [
     "ClaimReport",
     "CLAIMS",
     "NOT_AT_DESK_SCALE",
-    "bounds",
     "gamma_p",
     "mu_n",
     "mu_nm",
@@ -112,29 +111,6 @@ def gamma_p(p: int) -> int:
     if p < 1:
         raise ValueError("need p >= 1")
     return 2 * (p - 1) // 3
-
-
-_BOUNDS: dict[str, Callable[..., int]] = {
-    "mu_n": mu_n,
-    "mu_nm": mu_nm,
-    "nu_n": nu_n,
-    "gamma_p": gamma_p,
-}
-
-
-def bounds(kind: str, *args: int) -> int:
-    """Evaluate a named connectivity bound.
-
-    >>> bounds("mu_n", 5)
-    1
-    >>> bounds("mu_nm", 4, 2)
-    1
-    >>> bounds("gamma_p", 4)
-    2
-    """
-    if kind not in _BOUNDS:
-        raise ValueError(f"unknown bound kind: {kind!r}")
-    return _BOUNDS[kind](*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Clearing across degrees against the uncleared per-matrix route.
 
 ``homology``, ``betti_numbers`` and ``relative_homology`` reduce the
-coboundary maps d_k^T they need from the lowest degree up and leave out
-of d_{k+1}^T every k-face that was a pivot row of d_k^T.  Clearing has
-no off switch, so the reference here rebuilds each boundary map whole
-and reduces it on its own with ``snf``, ``rank_z`` or ``rank_mod_p``.
+boundary maps d_k they need by rows, from the lowest degree up, and
+leave out of the rows of d_{k+1} every k-face that was a pivot column
+of d_k.  Clearing has no off switch, so the reference here rebuilds
+each boundary map whole and reduces it on its own with ``snf``,
+``rank_z`` or ``rank_mod_p``.
 A query for a few degrees starts in the middle of the complex, so those
 are checked degree by degree.
 """
@@ -16,6 +17,7 @@ from cyclefree import (
     AbelianGroup,
     BoardSpec,
     SimplicialComplex,
+    SparseIntMatrix,
     betti_numbers,
     boundary_matrix,
     homology,
@@ -33,6 +35,14 @@ from test_homology import RP2
 from test_properties import complexes
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def transpose(matrix):
+    cols = {}
+    for j, col in matrix.cols.items():
+        for i, v in col.items():
+            cols.setdefault(i, {})[j] = v
+    return SparseIntMatrix(matrix.ncols, matrix.nrows, cols)
 
 
 def smith(matrix):
@@ -154,15 +164,27 @@ def test_relative_homology_in_single_degrees_equals_per_matrix_assembly(pair):
         assert relative_homology(c, sub, degrees=[k]).groups == {k: group}
 
 
-def test_pivot_rows_are_returned_in_every_mode():
+@SETTINGS
+@given(st.one_of(complexes(range(7)), relabelled_omegas()))
+def test_eliminating_rows_or_columns_gives_one_smith_form_and_rank(c):
+    for k in range(0, c.dim + 1):
+        m = boundary_matrix(c, k)
+        t = transpose(m)
+        assert snf(m) == snf(t)
+        assert rank_z(m) == rank_z(t)
+        for p in (2, 3):
+            assert rank_mod_p(m, p) == rank_mod_p(t, p)
+
+
+def test_pivot_cols_are_returned_in_every_mode():
     mat = boundary_matrix(omega(make_spec(4, 1)), 2)
     factors, rank, rank3 = snf(mat), rank_z(mat), rank_mod_p(mat, 3)
-    assert len(factors.pivot_rows) <= factors.count(1)
-    assert len(rank.pivot_rows) <= rank
-    assert len(rank3.pivot_rows) == rank3
-    for rows in (factors.pivot_rows, rank.pivot_rows, rank3.pivot_rows):
-        assert rows and len(set(rows)) == len(rows)
-        assert all(0 <= r < mat.nrows for r in rows)
+    assert len(factors.pivot_cols) <= factors.count(1)
+    assert len(rank.pivot_cols) <= rank
+    assert len(rank3.pivot_cols) == rank3
+    for cols in (factors.pivot_cols, rank.pivot_cols, rank3.pivot_cols):
+        assert cols and len(set(cols)) == len(cols)
+        assert all(0 <= j < mat.ncols for j in cols)
     # the results still compare and hash as plain values
     assert factors == tuple(factors) and hash(factors) == hash(tuple(factors))
     assert rank == int(rank) and rank3 == int(rank3)
@@ -171,7 +193,8 @@ def test_pivot_rows_are_returned_in_every_mode():
 @pytest.mark.parametrize("k", [2, 3])
 def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
     c = omega(make_spec(5, 2))
-    pivots = set(snf(boundary_matrix(c, k + 1)).pivot_rows)
+    # the k-faces that are pivot rows of d_{k+1}, top-down clearing
+    pivots = set(snf(transpose(boundary_matrix(c, k + 1))).pivot_cols)
     assert pivots
     full = boundary_matrix(c, k)
     kept = boundary_matrix(
@@ -187,25 +210,18 @@ def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
     c = omega(make_spec(5, 2))
-    pivots = set(snf(boundary_matrix(c, k).transpose()).pivot_rows)
+    pivots = set(snf(boundary_matrix(c, k)).pivot_cols)
     assert pivots
-    full = boundary_matrix(c, k + 1).transpose()
-    kept = boundary_matrix(
-        c, k + 1, rows=[f for i, f in enumerate(c.faces(k)) if i not in pivots]
-    ).transpose()
+    full = transpose(boundary_matrix(c, k + 1))
+    kept = transpose(
+        boundary_matrix(c, k + 1, rows=[f for i, f in enumerate(c.faces(k)) if i not in pivots])
+    )
     # As above, with rows and columns swapped: the k-faces that were
-    # pivot rows of d_k^T are the columns of d_{k+1}^T left out.
+    # pivot columns of d_k are the rows of d_{k+1} left out, the columns
+    # of its coboundary.
     assert snf(kept) == snf(full)
     for j in sorted(pivots)[::8]:
         assert in_column_lattice(kept, full.column(j))
-
-
-def test_transpose_swaps_rows_and_columns():
-    mat = boundary_matrix(omega(make_spec(3, 1)), 2)
-    t = mat.transpose()
-    assert (t.nrows, t.ncols, t.nnz) == (mat.ncols, mat.nrows, mat.nnz)
-    assert t.to_dense() == [list(row) for row in zip(*mat.to_dense())]
-    assert t.transpose().to_dense() == mat.to_dense()
 
 
 def test_relative_homology_equals_per_matrix_assembly():

@@ -213,7 +213,9 @@ class TestSmithNormalForm:
         calls = [
             lambda: homology(RP2, coefficients=p),
             lambda: homology(EMPTYFACE, coefficients=p),  # no map to reduce
+            lambda: homology(SimplicialComplex(frozenset(), nonvoid=False), coefficients=p),
             lambda: betti_numbers(RP2, p),
+            lambda: betti_numbers(EMPTYFACE, p),
             lambda: is_boundary(gen, RP2, mod=p),
             lambda: rank_mod_p(boundary_matrix(RP2, 1), p),
             lambda: in_column_space_mod_p(boundary_matrix(RP2, 1), {0: 1}, p),
@@ -276,6 +278,9 @@ class TestKnownHomology:
     def test_void_complex(self):
         void = SimplicialComplex(frozenset(), nonvoid=False)
         assert homology(void).nontrivial() == {}
+        assert homology(void, coefficients=3).groups == {}
+        with pytest.raises(ValueError, match="got 0"):
+            homology(void, coefficients=0)
 
     def test_field_coefficients(self):
         res = homology(RP2, coefficients=2)

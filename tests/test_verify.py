@@ -5,7 +5,6 @@ import pytest
 from cyclefree import (
     CLAIMS,
     NOT_AT_DESK_SCALE,
-    bounds,
     gamma_p,
     mu_n,
     mu_nm,
@@ -29,14 +28,6 @@ class TestBounds:
 
     def test_suspension_bound(self):
         assert [gamma_p(p) for p in range(1, 8)] == [0, 0, 1, 2, 2, 3, 4]
-
-    def test_dispatch(self):
-        assert bounds("mu_n", 5) == mu_n(5)
-        assert bounds("mu_nm", 4, 2) == mu_nm(4, 2)
-        assert bounds("nu_n", 6) == nu_n(6)
-        assert bounds("gamma_p", 4) == gamma_p(4)
-        with pytest.raises(ValueError, match="unknown"):
-            bounds("zeta", 3)
 
 
 class TestCatalog:
