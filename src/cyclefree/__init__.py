@@ -11,16 +11,18 @@ The package is organized around a small pipeline:
     and intersections.
 ``homology``
     Chains, boundary matrices, Smith normal form (sparse front end and
-    an independent dense routine), integral and mod-p homology, cycle
-    and boundary tests, presentations with explicit generators, and
-    induced maps of inclusions.
+    one independent dense routine, which also canonicalises torsion),
+    integral and mod-p homology, cycle and boundary tests,
+    presentations with explicit generators, and induced maps of
+    inclusions.
 ``builders``
     The complex families themselves: full chessboard complexes,
     cycle-free complexes, their column/row restrictions, directed
     matchings, cycle-count filtrations, and iterated suspensions.
 ``generators``
-    Hand-built spheres inside these complexes together with their
-    fundamental cycles, used as witnesses for non-vanishing homology.
+    Hand-built spheres inside these complexes, each carrying its
+    fundamental cycle as ``.fundamental``, used as witnesses for
+    non-vanishing homology.
 ``verify``
     A catalog of checkable claims with a small runner.
 ``facetfile``
@@ -66,7 +68,6 @@ from .homology import (
     homological_connectivity,
     homology,
     induced_map,
-    in_column_lattice,
     is_boundary,
     is_cycle,
     rank_mod_p,
@@ -91,7 +92,6 @@ from .builders import (
 from .facetfile import format_complex, read_complex, write_complex
 from .generators import (
     SphereEmbedding,
-    fundamental_cycle,
     hexagon,
     odd_sphere,
     tight_sphere,
@@ -131,13 +131,11 @@ __all__ = [
     "filtration_level",
     "format_complex",
     "full_board",
-    "fundamental_cycle",
     "gamma_p",
     "hexagon",
     "homological_connectivity",
     "homology",
     "HomologyResult",
-    "in_column_lattice",
     "induced_map",
     "InducedMap",
     "intersection",

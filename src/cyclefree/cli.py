@@ -35,7 +35,7 @@ from .builders import (
     theta2,
 )
 from .facetfile import format_complex, read_complex, write_complex
-from .homology import _is_prime, homology
+from .homology import homology
 from .verify import NOT_AT_DESK_SCALE, run_claims
 
 __all__ = ["main"]
@@ -99,17 +99,28 @@ def _cmd_build(args, parser: argparse.ArgumentParser) -> int:
 # readers
 
 
+def _read(args, parser: argparse.ArgumentParser):
+    # a missing file or a facet that breaks its !spec header is a usage
+    # error, reported in one line
+    try:
+        complex_, _ = read_complex(args.infile)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    return complex_
+
+
 def _cmd_homology(args, parser: argparse.ArgumentParser) -> int:
-    if args.mod is not None and not _is_prime(args.mod):
-        parser.error("--mod expects a prime")
-    complex_, _ = read_complex(args.infile)
+    complex_ = _read(args, parser)
     reduced = not args.unreduced
     degrees = None
     if args.max_dim is not None:
         degrees = list(range(0 if args.unreduced else -1, args.max_dim + 1))
-    res = homology(
-        complex_, degrees=degrees, coefficients=args.mod, reduced=reduced
-    )
+    try:  # homology checks that --mod is a prime before any work
+        res = homology(
+            complex_, degrees=degrees, coefficients=args.mod, reduced=reduced
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     kind = "unreduced" if args.unreduced else "reduced"
     field = f"F_{args.mod}" if args.mod else "Z"
     print(f"{kind} homology, {field} coefficients")
@@ -122,14 +133,14 @@ def _cmd_homology(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_fvector(args, parser: argparse.ArgumentParser) -> int:
-    complex_, _ = read_complex(args.infile)
+    complex_ = _read(args, parser)
     print(f"f-vector: {complex_.f_vector()}")
     print(f"euler characteristic: {complex_.euler_characteristic()}")
     return 0
 
 
 def _cmd_link(args, parser: argparse.ArgumentParser) -> int:
-    complex_, _ = read_complex(args.infile)
+    complex_ = _read(args, parser)
     try:
         row, col = (int(tok) for tok in args.vertex.split(","))
     except ValueError:

@@ -10,7 +10,8 @@ records the distinguished rows, columns and the column-to-row
 bijection of a board spec; the board itself is reconstructed as the block X x Y
 together with every square mentioned in the file.  Under a header every
 facet must be a non-taking, cycle-free configuration of that spec, and
-a facet that is not is rejected with its line number.
+a facet that is not is rejected with its line number; so is a second
+header.
 
 A file without facet lines denotes the complex whose only face is the
 empty one.  The void complex has no representation and is rejected on
@@ -62,6 +63,8 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("!spec"):
+                if header is not None:
+                    raise ValueError(f"line {lineno}: a second !spec header")
                 header = _parse_header(line)
                 continue
             facets.append([_parse_square(tok) for tok in line.split()])

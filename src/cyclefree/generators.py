@@ -25,7 +25,6 @@ from .homology import Chain
 
 __all__ = [
     "SphereEmbedding",
-    "fundamental_cycle",
     "hexagon",
     "odd_sphere",
     "tight_sphere",
@@ -139,11 +138,6 @@ class SphereEmbedding:
             f"SphereEmbedding({len(self.factors)} factors, "
             f"dim={self.complex.dim}, |facets|={len(self.complex.facets)})"
         )
-
-
-def fundamental_cycle(e: SphereEmbedding) -> Chain:
-    """The top cycle of an embedded sphere: join of the factor cycles."""
-    return e.fundamental
 
 
 def _domino(a: Square, b: Square) -> SimplicialComplex:

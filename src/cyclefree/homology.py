@@ -14,7 +14,10 @@ The second route, :func:`dense_snf`, runs the one dense Smith routine
 (vectorised rank-1 updates on numpy object arrays) on the full matrix;
 it shares no elimination code with the sparse route and serves as an
 oracle in the test suite.  The same dense routine finishes the sparse
-route's leftover block and, tracking transforms, builds presentations.
+route's leftover block, canonicalises torsion (the Smith form of a
+diagonal of orders is their invariant-factor chain) and, tracking its
+row transform only, builds presentations: the row transform of d_k^T
+is the transposed column transform of d_k.
 
 The sparse elimination works on rows and records the columns it
 pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
@@ -39,7 +42,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import prod
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -50,42 +52,14 @@ from .complexes import SimplicialComplex
 # abelian groups
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _divisor_chain(factors: Iterable[int]) -> tuple[int, ...]:
-    """Canonical invariant-factor chain of a direct sum of cyclic groups."""
-    primary: dict[int, list[int]] = {}
-    for f in factors:
-        if f in (0, 1):
-            continue
-        for p, e in _factorize(abs(f)).items():
-            primary.setdefault(p, []).append(e)
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    depth = max((len(e) for e in primary.values()), default=0)
-    chain = []
-    for i in range(depth):
-        chain.append(prod(p ** exps[i] for p, exps in primary.items() if len(exps) > i))
-    return tuple(reversed(chain))
-
-
 class AbelianGroup:
     """A finitely generated abelian group in invariant factor form.
 
     ``AbelianGroup(rank, torsion)`` is Z^rank plus a cyclic factor per
     torsion entry; any multiset of cyclic orders is accepted and
     canonicalized, so ``AbelianGroup(0, (2, 3)) == AbelianGroup(0, (6,))``.
+    The canonical torsion is the invariant-factor chain of the orders:
+    the factors > 1 of the Smith form of diag(|orders|).
     """
 
     __slots__ = ("rank", "torsion")
@@ -94,14 +68,12 @@ class AbelianGroup:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "torsion", _divisor_chain(torsion))
+        orders = [abs(int(t)) for t in torsion]
+        chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
+        object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
-
-    @classmethod
-    def free(cls, rank: int) -> "AbelianGroup":
-        return cls(rank)
 
     @classmethod
     def direct_sum(cls, groups: Iterable["AbelianGroup"]) -> "AbelianGroup":
@@ -138,7 +110,7 @@ class AbelianGroup:
         return f"AbelianGroup({self.rank}, {self.torsion})"
 
 
-TRIVIAL_GROUP = AbelianGroup(0)
+TRIVIAL_GROUP = AbelianGroup(0)  # no orders, so no call to _smith, defined below
 
 # ---------------------------------------------------------------------------
 # chains
@@ -260,9 +232,6 @@ class SparseIntMatrix:
             for i, v in col.items():
                 out[i][j] = v
         return out
-
-    def column(self, j: int) -> dict[int, int]:
-        return dict(self.cols.get(j, {}))
 
     def __repr__(self):
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -527,29 +496,21 @@ def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
     return dense_snf(_leftover_block(block)) == dense_snf(_leftover_block(leftover))
 
 
-def in_column_lattice(matrix: SparseIntMatrix, col: Mapping[int, int]) -> bool:
-    """Whether an integer vector lies in the span-over-Z of the columns."""
-    return _in_span(matrix, col, 0)
-
-
-def in_column_space_mod_p(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
-    """Whether an integer vector lies in the F_p-span of the columns."""
-    _check_prime(p)
-    return _in_span(matrix, col, p)
-
-
 # ---------------------------------------------------------------------------
 # dense Smith normal form (oracle route, leftover blocks, presentations)
 
 
-def _smith(a, left: bool = False, right: bool = False):
+def _smith(a, left: bool = False):
     """Smith normal form of a dense integer matrix, by numpy rank-1 updates.
 
-    Returns ``(factors, u, uinv, v, vinv)``.  ``factors`` are the nonzero
-    invariant factors d_1 | d_2 | ..., all positive.  With ``left``
-    (``right``) the unimodular transforms u, uinv (v, vinv) are tracked:
-    ``u @ a @ v`` is diagonal with ``factors`` leading its diagonal, and
-    ``uinv``, ``vinv`` are the inverses.  Untracked ones are None.  The
+    Returns ``(factors, u, uinv)``.  ``factors`` are the nonzero
+    invariant factors d_1 | d_2 | ..., all positive.  With ``left`` the
+    row transform is tracked: u is unimodular, ``uinv`` its inverse, and
+    ``u @ a @ v`` is diagonal with ``factors`` leading its diagonal for
+    some unimodular v that is never formed.  So the rows of ``u @ a``
+    past ``len(factors)`` are zero.  Untracked, u and uinv are None.
+    Only one side is ever needed: the right transform of a is the
+    transpose of the left one of a.T (see :class:`Presentation`).  The
     input is not modified; arrays have dtype object, so arithmetic stays
     exact.
 
@@ -567,11 +528,9 @@ def _smith(a, left: bool = False, right: bool = False):
     """
     a = np.array(a, dtype=object)
     m, n = a.shape
-    u = uinv = v = vinv = None
+    u = uinv = None
     if left:
         u, uinv = np.eye(m, dtype=object), np.eye(m, dtype=object)
-    if right:
-        v, vinv = np.eye(n, dtype=object), np.eye(n, dtype=object)
 
     unit = np.abs(a) == 1  # where a has a +-1 entry, kept up to date
 
@@ -590,10 +549,6 @@ def _smith(a, left: bool = False, right: bool = False):
     def col_op(dst, src, p):  # a[:, dst] -= a[:, src] (x) p, src not in dst
         nz = np.flatnonzero(a[:, src])
         update(np.ix_(nz, dst), np.outer(a[nz, src], p))
-        if right:
-            nz = np.flatnonzero(v[:, src])
-            v[np.ix_(nz, dst)] -= np.outer(v[nz, src], p)
-            vinv[src, :] += p @ vinv[dst, :]
 
     def to_pivot(t, i, j):  # move entry (i, j) to (t, t)
         if i != t:
@@ -602,10 +557,8 @@ def _smith(a, left: bool = False, right: bool = False):
             if left:
                 uinv[:, [t, i]] = uinv[:, [i, t]]
         if j != t:
-            for x in (a, unit) + ((v,) if right else ()):
+            for x in (a, unit):
                 x[:, [t, j]] = x[:, [j, t]]
-            if right:
-                vinv[[t, j], :] = vinv[[j, t], :]
 
     def smallest(t):  # position of a least nonzero |entry| in the block
         k = int(np.argmax(unit[t:, t:]))  # first +-1, row by row
@@ -652,7 +605,7 @@ def _smith(a, left: bool = False, right: bool = False):
                 uinv[:, t] = -uinv[:, t]
         factors.append(int(a[t, t]))
         t += 1
-    return factors, u, uinv, v, vinv
+    return factors, u, uinv
 
 
 def dense_snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -675,11 +628,10 @@ def dense_snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 class HomologyResult:
     """Homology groups per degree."""
 
-    __slots__ = ("groups", "coefficients")
+    __slots__ = ("groups",)
 
-    def __init__(self, groups: dict[int, AbelianGroup], coefficients: Union[None, int] = None):
+    def __init__(self, groups: dict[int, AbelianGroup]):
         self.groups = dict(groups)
-        self.coefficients = coefficients
 
     def group(self, k: int) -> AbelianGroup:
         return self.groups.get(k, TRIVIAL_GROUP)
@@ -818,9 +770,9 @@ def homology(
     if coefficients is not None:
         _check_prime(coefficients)
     if complex_.is_void:
-        return HomologyResult({}, coefficients)
+        return HomologyResult({})
     degs = _degree_list(complex_, degrees, reduced)
-    return HomologyResult(_reduce(complex_, degs, coefficients, reduced)[0], coefficients)
+    return HomologyResult(_reduce(complex_, degs, coefficients, reduced)[0])
 
 
 def betti_numbers(
@@ -954,28 +906,29 @@ def is_boundary(
 class Presentation:
     """H_k of a complex with generator cycles and class coordinates.
 
-    Built from dense transform-tracking Smith reductions of the two
-    boundary matrices.  ``class_of`` maps a cycle to its coordinates
-    over the nontrivial generators (entries reduced modulo the finite
-    orders; order 0 means an infinite cyclic summand).
+    Built from two dense Smith reductions that track the row transform:
+    one of d_k^T, one of d_{k+1} in cycle coordinates.  ``class_of``
+    maps a cycle to its coordinates over the nontrivial generators
+    (entries reduced modulo the finite orders; order 0 means an infinite
+    cyclic summand).  Chains are those of the augmented complex.
     """
 
-    def __init__(self, complex_: SimplicialComplex, degree: int, reduced: bool = True):
+    def __init__(self, complex_: SimplicialComplex, degree: int):
         self.complex = complex_
         self.degree = k = degree
         faces_k = complex_.faces(k)
         nk = len(faces_k)
-        # d_k; unreduced chains have nothing in degree -1
-        rows = len(complex_.faces(k - 1)) if reduced or k >= 1 else 0
-        a = np.zeros((rows, nk), dtype=object)
-        if rows:
-            for j, col in boundary_matrix(complex_, k).cols.items():
-                for i, val in col.items():
-                    a[i, j] = val
-        factors_a, _, _, v, vinv = _smith(a, right=True)
-        # u a v = D with r nonzero diagonal entries: the last s columns of
-        # v are a basis of the cycles, and vinv @ z holds a cycle z's
-        # coordinates in that basis below r zeros
+        # d_k^T, reduced on the left: u d_k^T w = D for a unimodular w,
+        # so d_k v = w^-T D^T with v = u^T.  With r nonzero factors the
+        # last s columns of v are a basis of the cycles, and vinv @ z
+        # (vinv = uinv^T) holds a cycle z's coordinates in that basis
+        # below r zeros
+        a = np.zeros((nk, len(complex_.faces(k - 1))), dtype=object)
+        for j, col in boundary_matrix(complex_, k).cols.items():
+            for i, val in col.items():
+                a[j, i] = val
+        factors_a, u, uinv = _smith(a, left=True)
+        v, vinv = u.T, uinv.T
         r = len(factors_a)
         s = nk - r
         # d_{k+1} in cycle coordinates: c[:, j] = vinv[r:] @ column j
@@ -984,7 +937,7 @@ class Presentation:
         cyc = vinv[r:]
         for j, col in b.cols.items():
             c[:, j] = cyc[:, list(col)] @ np.array(list(col.values()), dtype=object)
-        factors_c, u_c, uinv_c, _, _ = _smith(c, left=True)
+        factors_c, u_c, uinv_c = _smith(c, left=True)
         orders = factors_c + [0] * (s - len(factors_c))
         # generator i of the cokernel is V[:, r:] @ uinv_c[:, i], of order orders[i]
         keep = [i for i, o in enumerate(orders) if o != 1]
@@ -1049,15 +1002,6 @@ class InducedMap:
     domain_orders: tuple[int, ...]
     codomain_orders: tuple[int, ...]
     codomain_presentation: Presentation = field(compare=False, repr=False)
-
-    @property
-    def is_zero(self) -> bool:
-        for j in range(len(self.domain_orders)):
-            for i, o in enumerate(self.codomain_orders):
-                c = self.matrix[i][j] if self.matrix else 0
-                if (o and c % o) or (not o and c):
-                    return False
-        return True
 
     @property
     def surjective(self) -> bool:

@@ -40,7 +40,7 @@ from .builders import (
     theta2,
 )
 from .complexes import SimplicialComplex, intersection, union
-from .generators import fundamental_cycle, odd_sphere, tight_sphere, two_sphere
+from .generators import odd_sphere, tight_sphere, two_sphere
 from .homology import (
     AbelianGroup,
     HomologyResult,
@@ -257,7 +257,7 @@ def _exec_connectivity(key: str, bound: int) -> tuple:
 def _exec_epimorphism(sub_key: str, amb_key: str, degree: int) -> tuple:
     sub, amb = _complex(sub_key), _complex(amb_key)
     m = induced_map(sub, amb, degree)
-    coords = m.codomain_presentation.class_of(fundamental_cycle(two_sphere()))
+    coords = m.codomain_presentation.class_of(two_sphere().fundamental)
     hits_generator = m.codomain == AbelianGroup(0, (3,)) and any(
         c % 3 for c in coords
     )
@@ -312,7 +312,7 @@ _EMBEDDINGS: dict[str, Callable[[], object]] = {
 
 
 def _exec_nonbounding(name: str, ambient_keys: tuple, mod: int) -> tuple:
-    z = fundamental_cycle(_EMBEDDINGS[name]())
+    z = _EMBEDDINGS[name]().fundamental
     tag = f" mod {mod}" if mod else ""
     results = []
     ok = True
@@ -464,22 +464,12 @@ def _exec_sym_shift(p_max: int) -> tuple:
     return True, expected, f"suspension shift holds for p = 1..{p_max}"
 
 
-def _exec_sym_connectivity(p_max: int, exact_through: int) -> tuple:
+def _exec_sym_connectivity(p_max: int) -> tuple:
     bad = []
     for p in range(1, p_max + 1):
-        bound = gamma_p(p)
-        if p <= exact_through:
-            nt = _full_homology(f"sym-{p}").nontrivial()
-            offenders = {k: g for k, g in nt.items() if 0 <= k <= bound}
-        else:
-            res = homology(_complex(f"sym-{p}"), degrees=list(range(0, bound + 1)))
-            offenders = {
-                k: res.group(k)
-                for k in range(0, bound + 1)
-                if not res.group(k).is_trivial
-            }
-        if offenders:
-            bad.append(f"p={p}: {_fmt(offenders)}")
+        ok, _, computed = _exec_connectivity(f"sym-{p}", gamma_p(p))
+        if not ok:
+            bad.append(f"p={p}: {computed}")
     expected = f"H~_i(sym(p)) = 0 for i <= gamma_p, p <= {p_max}"
     if bad:
         return False, expected, "; ".join(bad)
@@ -727,7 +717,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim(
         "sym-conn",
         "sym_connectivity",
-        (6, 5),
+        (6,),
         "sym(p) is gamma_p-connective for p <= 6",
     ),
     Claim(

@@ -92,10 +92,12 @@ class TestReaders:
         assert "F_3 coefficients" in text
         assert "H_2: dimension 43" in text
 
-    def test_mod_must_be_prime(self, omega5):
-        with pytest.raises(SystemExit) as exc:
-            main(["homology", "--in", omega5, "--mod", "4"])
-        assert exc.value.code == 2
+    def test_mod_must_be_prime(self, omega5, capsys):
+        for mod in ("4", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["homology", "--in", omega5, "--mod", mod])
+            assert exc.value.code == 2
+            assert f"prime, got {mod}" in capsys.readouterr().err
 
     def test_fvector(self, omega5, capsys):
         code, text = run(capsys, "fvector", "--in", omega5)
@@ -118,6 +120,22 @@ class TestReaders:
         with pytest.raises(SystemExit) as exc:
             main(["link", "--in", omega5, "--vertex", "x"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["homology"], ["fvector"], ["link", "--vertex", "1,2"]])
+@pytest.mark.parametrize("content", [None, "!spec X=1,2 Y=1,2 alpha=1:1,2:2\n1,1\n"])
+def test_readers_fail_cleanly(command, content, tmp_path, capsys):
+    # a missing file, or a facet that breaks its !spec header
+    path = tmp_path / "in.facets"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--in", str(path), *command[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert not any("Traceback" in line for line in err)
+    assert err[-1].startswith(f"cyclefree {command[0]}: error: ")
+    assert ("No such file" if content is None else "line 2: facet '1,1'") in err[-1]
 
 
 class TestVerify:

@@ -82,6 +82,16 @@ def test_header_requires_all_fields(tmp_path):
         read_complex(path)
 
 
+def test_second_header_rejected(tmp_path):
+    path = tmp_path / "two.facets"
+    # under the second header the loop 1,1 would pass, under the first not
+    path.write_text(
+        "!spec X=1,2 Y=1,2 alpha=1:1,2:2\n1,2\n!spec X=1,2 Y=1,2 alpha=1:2,2:1\n1,1\n"
+    )
+    with pytest.raises(ValueError, match="line 3: a second !spec header"):
+        read_complex(path)
+
+
 def test_taking_facet_under_a_spec_rejected(tmp_path):
     path = tmp_path / "taking.facets"
     path.write_text("!spec X=1,2,3 Y=1,2,3 alpha=1:1,2:2,3:3\n1,2 2,3\n1,3 2,3\n")

@@ -8,7 +8,6 @@ from cyclefree import (
     SimplicialComplex,
     SphereEmbedding,
     Square,
-    fundamental_cycle,
     hexagon,
     homology,
     is_cycle,
@@ -43,7 +42,6 @@ class TestHexagon:
         z = hx.fundamental
         assert z.degree == 1 and len(z) == 6
         assert is_cycle(z, hx.complex)
-        assert fundamental_cycle(hx) == z
 
 
 class TestTwoSphere:

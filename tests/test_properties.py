@@ -133,14 +133,16 @@ def test_dense_smith_form_equals_determinantal_divisors(pair):
 def test_smith_transforms_diagonalise(pair):
     dense, _ = pair
     a = np.array(dense, dtype=object)
-    m, n = a.shape
-    factors, u, uinv, v, vinv = _smith(a, left=True, right=True)
-    d = np.zeros((m, n), dtype=object)
-    for i, f in enumerate(factors):
-        d[i, i] = f
-    assert (u @ a @ v == d).all()
+    m = a.shape[0]
+    factors, u, uinv = _smith(a, left=True)
+    r = len(factors)
+    assert not np.count_nonzero((u @ a)[r:])
     assert (u @ uinv == np.eye(m, dtype=int)).all()
-    assert (v @ vinv == np.eye(n, dtype=int)).all()
+    # the left transform of a.T is the right transform of a, transposed:
+    # it kills the columns of a past the rank, as Presentation relies on
+    factors_t, u_t, _ = _smith(a.T, left=True)
+    assert factors_t == factors
+    assert not np.count_nonzero((a @ u_t.T)[:, r:])
     assert all(f > 0 for f in factors)
     assert all(g % f == 0 for f, g in zip(factors, factors[1:]))
     assert (a == np.array(dense, dtype=object)).all()  # input left as it was
@@ -211,10 +213,12 @@ def test_links_are_cycle_free_complexes_of_the_reduced_spec(n, m, p, rng):
 @SETTINGS
 @given(st.lists(st.integers(2, 60), max_size=5))
 def test_invariant_factors_form_a_divisor_chain(torsion):
-    g = AbelianGroup(0, torsion)
-    chain = g.torsion
-    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
-    assert math.prod(chain, start=1) == math.prod(torsion, start=1)
+    # the canonical chain is the Smith form of diag(torsion), here from
+    # minors alone: Z/4 + Z/6 is Z/2 + Z/12, not Z/24
+    n = len(torsion)
+    diag = [[torsion[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    want = tuple(f for f in _determinantal_factors(diag) if f > 1) if n else ()
+    assert AbelianGroup(0, torsion).torsion == want
 
 
 @SETTINGS
