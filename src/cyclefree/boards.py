@@ -288,12 +288,10 @@ def facet_from_order(order, spec: BoardSpec) -> frozenset[Square]:
     [Square(row=1, col=3), Square(row=2, col=1)]
     """
     order = tuple(order)
-    if set(order) != set(spec.x_rows) or len(order) != len(spec.x_rows):
+    if len(order) != len(spec.x_rows) or frozenset(order) != spec.x_rows:
         raise ValueError(f"order must be a permutation of X, got {order}")
-    return frozenset(
-        Square(order[k], spec.alpha.inverse(order[k + 1]))
-        for k in range(len(order) - 1)
-    )
+    inverse = spec.alpha._inv
+    return frozenset([Square(a, inverse[b]) for a, b in zip(order, order[1:])])
 
 
 def reduced_spec(spec: BoardSpec, v) -> BoardSpec:

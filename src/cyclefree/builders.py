@@ -64,73 +64,94 @@ def _maximal_configs(
     square or is skipped, so each configuration is reached exactly once.
     A square is *blocked* when its column is used, or when its arc would
     close a cycle while the configuration already has ``max_cycles``
-    cycles.  Along a branch the used columns, the paths an arc could
-    close and the cycle count only grow, so a square blocked once stays
-    blocked, and one check at each leaf is exact: the configuration is
-    kept when every square of every skipped row is blocked.  The family
-    is closed under taking subsets, so "no square can be added" is the
-    same as maximal.
+    cycles.  The family is closed under taking subsets, so a leaf is
+    maximal exactly when every square of every skipped row is blocked.
+    Along a branch the used columns, the paths an arc could close and
+    the cycle count only grow, so a square blocked once stays blocked.
+
+    Two kinds of column must be used by every maximal leaf below a
+    skip, and are added to ``need`` when the row is skipped:
+
+    * a *bare* column of the row, one whose square has no arc (it lies
+      outside the block X x Y, or there is no spec): such a square can
+      only be blocked by its column;
+    * a column the row shares with an earlier skipped row.  A skipped
+      row has no outgoing arc, so it ends every path through it.  If
+      the column c stays unused, the path from ``alpha(c)`` starts
+      there (no other column points at it) and ends at one row only,
+      so at most one of the two squares closes a cycle; the other is
+      blocked only by a later row taking c.
+
+    Later rows use one column each, so a branch whose unused needed
+    columns are not all on later rows, or outnumber them, holds no
+    maximal leaf and is cut.  Every other column left free at a leaf
+    belongs to one skipped row with an arc, and the leaf is kept when
+    each such arc closes a cycle and the count is already at the cap.
 
     >>> sorted(map(sorted, _maximal_configs(full_board(2), make_spec(2))))
     [[Square(row=1, col=2)], [Square(row=2, col=1)]]
+
+    With a free row and a free column the facets need not be equal in size:
+
+    >>> s = make_spec(1, 1, 1)
+    >>> sorted(map(sorted, _maximal_configs(s.board, s)))
+    [[Square(row=-1, col=1), Square(row=1, col=2)], [Square(row=-1, col=2)]]
     """
     squares = sorted(as_config(board))
+    bits = {c: 1 << k for k, c in enumerate(sorted({s.col for s in squares}))}
+
+    def head(s: Square) -> int | None:  # the row the square's arc enters
+        if spec is not None and s.row in spec.x_rows and s.col in spec.y_cols:
+            return spec.alpha(s.col)
+        return None
+
     by_row = itertools.groupby(squares, key=lambda s: s.row)
-    rows = [{s.col: s for s in row} for _, row in by_row]  # column -> square
-    heads: dict[Square, int] = {}  # square of the block -> row its arc enters
-    if spec is not None:
-        x, y, alpha = spec.x_rows, spec.y_cols, spec.alpha
-        heads = {s: alpha(s.col) for s in squares if s.row in x and s.col in y}
-    used_cols: set = set()
+    rows = [[(bits[s.col], s, head(s)) for s in row] for _, row in by_row]
+    n = len(rows)
+    mask = [sum(b for b, _, _ in row) for row in rows]
+    bare = [sum(b for b, _, h in row if h is None) for row in rows]
+    later = [0] * (n + 1)  # the columns of rows i onward
+    for i in reversed(range(n)):
+        later[i] = later[i + 1] | mask[i]
     succ: dict[int, int] = {}  # the arcs of the configuration
     config: list[Square] = []
-    skipped: list[dict[int, Square]] = []
+    skipped: list[list] = []
     found: list[frozenset[Square]] = []
-    cycles = 0
 
-    def closes_cycle(s: Square) -> bool:
+    def closes_cycle(row: int, node: int | None) -> bool:
         # only asked for a free column, whose arc enters a path start
-        node = heads.get(s)
         while node is not None:
-            if node == s.row:
+            if node == row:
                 return True
             node = succ.get(node)
         return False
 
-    def extend(i: int) -> None:
-        nonlocal cycles
-        if i == len(rows):
-            for row in skipped:
-                free = row.keys() - used_cols
-                if free and (
-                    cycles < max_cycles or not all(closes_cycle(row[c]) for c in free)
-                ):
-                    return
-            found.append(frozenset(config))
+    def extend(i: int, used: int, need: int, seen: int, cycles: int) -> None:
+        wait = need & ~used
+        if wait & ~later[i] or wait.bit_count() > n - i:
+            return
+        if i == n:
+            free = [(s.row, h) for row in skipped for b, s, h in row if not b & used]
+            if not free or cycles == max_cycles and all(closes_cycle(*f) for f in free):
+                found.append(frozenset(config))
             return
         skipped.append(rows[i])
-        extend(i + 1)
+        extend(i + 1, used, need | bare[i] | (seen & mask[i]), seen | mask[i], cycles)
         skipped.pop()
-        for col, s in rows[i].items():
-            if col in used_cols:
+        for b, s, h in rows[i]:
+            if b & used:
                 continue
-            closing = closes_cycle(s)
+            closing = closes_cycle(s.row, h)
             if closing and cycles == max_cycles:
                 continue
-            used_cols.add(col)
             config.append(s)
-            head = heads.get(s)
-            if head is not None:
-                succ[s.row] = head
-            cycles += closing
-            extend(i + 1)
-            cycles -= closing
-            if head is not None:
-                del succ[s.row]
+            if h is not None:
+                succ[s.row] = h
+            extend(i + 1, used | b, need, seen, cycles + closing)
+            succ.pop(s.row, None)
             config.pop()
-            used_cols.remove(col)
 
-    extend(0)
+    extend(0, 0, 0, 0, 0)
     return frozenset(found)
 
 

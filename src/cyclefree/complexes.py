@@ -19,11 +19,14 @@ from typing import Iterable, Sequence
 
 
 class SimplicialComplex:
-    __slots__ = ("_facets", "_nonvoid", "vertices", "_vset", "_sorted", "_faces", "_findex")
+    __slots__ = (
+        "_facets", "_nonvoid", "_dim", "vertices", "_vset", "_sorted", "_faces", "_findex"
+    )
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
         self._facets = facets
         self._nonvoid = nonvoid
+        self._dim = max((len(f) for f in facets), default=0) - 1 if nonvoid else -2
         vs: set = set()
         for f in facets:
             vs.update(f)
@@ -57,9 +60,7 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Dimension: -1 for the complex {<empty face>}, -2 for the void one."""
-        if self.is_void:
-            return -2
-        return max((len(f) for f in self._facets), default=0) - 1
+        return self._dim
 
     def has_vertex(self, v) -> bool:
         return v in self._vset
@@ -78,7 +79,7 @@ class SimplicialComplex:
         """
         if k == -1:
             return ((),) if self._nonvoid else ()
-        if k < -1 or self.is_void or k > self.dim:
+        if k < -1 or k > self._dim:
             return ()
         if k not in self._faces:
             if not self._sorted:

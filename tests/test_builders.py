@@ -284,14 +284,17 @@ class TestSym:
 def walk_inputs(draw):
     """A small board, a spec on its rows and columns (or none), a cycle cap.
 
-    The spec's rows are X (1..k) plus free rows Z (negative), its columns
-    Y plus free columns T; alpha is a random bijection Y -> X.  The walk's
-    board drops random squares of the product, block squares included,
-    as the directed-matching filtration drops the diagonal.
+    The spec's rows are X (1..k) plus up to two free rows Z (negative),
+    its columns Y plus up to two free columns T; alpha is a random
+    bijection Y -> X.  Two free rows give two skipped rows that share a
+    column with no arc on it, and a skipped X row shares its free
+    columns with the free rows.  The walk's board drops random squares
+    of the product, block squares included, as the directed-matching
+    filtration drops the diagonal.
     """
     k = draw(st.integers(0, 3))
-    z = draw(st.integers(0, 1))
-    t = draw(st.integers(0, 1))
+    z = draw(st.integers(0, 2))
+    t = draw(st.integers(0, 2))
     x = list(range(1, k + 1))
     y = list(range(1, k + 1))
     rows = x + list(range(-z, 0))
@@ -306,15 +309,20 @@ def walk_inputs(draw):
 
 
 def brute_force(board, spec, max_cycles):
-    """from_facets over every subset of the board that could be non-taking."""
-    rows = {r for r, _ in board}
-    admitted = [
-        subset
-        for size in range(len(rows) + 1)
-        for subset in itertools.combinations(board, size)
-        if is_nontaking(subset)
-        and (spec is None or len(alpha_cycles(subset, spec)) <= max_cycles)
-    ]
+    """from_facets over every non-taking subset of the board within the cap.
+
+    Each row gives one of its squares or none; choices that repeat a
+    column are dropped.
+    """
+    rows = itertools.groupby(sorted(map(tuple, board)), key=lambda s: s[0])
+    choices = [[None, *row] for _, row in rows]
+    admitted = []
+    for pick in itertools.product(*choices):
+        subset = [s for s in pick if s is not None]
+        if is_nontaking(subset) and (
+            spec is None or len(alpha_cycles(subset, spec)) <= max_cycles
+        ):
+            admitted.append(subset)
     return SimplicialComplex.from_facets(admitted)
 
 
@@ -324,3 +332,16 @@ def test_facet_walk_equals_brute_force(inputs):
     board, spec, max_cycles = inputs
     walked = _maximal_configs(board, spec, max_cycles)
     assert SimplicialComplex(walked, nonvoid=True) == brute_force(board, spec, max_cycles)
+
+
+@pytest.mark.parametrize(
+    "shape, facets, f_vector",
+    [
+        ((4, 2, 3), 2160, (38, 510, 3000, 7800, 7920, 2160)),
+        ((3, 2, 2), 120, (22, 152, 384, 312, 48)),  # not pure
+    ],
+)
+def test_free_rows_and_columns_frozen(shape, facets, f_vector):
+    c = omega(make_spec(*shape))
+    assert len(c.facets) == facets
+    assert c.f_vector() == f_vector
