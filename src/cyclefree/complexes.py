@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 class SimplicialComplex:
     __slots__ = (
-        "_facets", "_nonvoid", "_dim", "vertices", "_vset", "_sorted", "_faces", "_findex"
+        "_facets", "_nonvoid", "_dim", "vertices",
+        "_vset", "_sorted", "_faces", "_findex",
     )
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
