@@ -4,7 +4,9 @@ A complex is stored by its facets (inclusion-maximal faces).  Faces of a
 fixed dimension are enumerated as sorted vertex tuples in lexicographic
 order; every module in this package relies on that single ordering, so
 boundary matrices, chains and homology generators are all expressed in
-compatible coordinates.
+compatible coordinates.  They are listed as rows of positions in the
+sorted vertex tuple, sorted and deduplicated in numpy; positions follow
+the vertex order, so the rows sort exactly as the vertex tuples do.
 
 The empty complex comes in two flavours that matter for reduced
 homology.  The *void* complex has no faces at all, while the complex
@@ -17,11 +19,13 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class SimplicialComplex:
     __slots__ = (
         "_facets", "_nonvoid", "_dim", "vertices",
-        "_vset", "_sorted", "_faces", "_findex",
+        "_vset", "_index", "_faces", "_findex",
     )
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
@@ -33,7 +37,7 @@ class SimplicialComplex:
             vs.update(f)
         self.vertices = tuple(sorted(vs))
         self._vset = frozenset(vs)
-        self._sorted: tuple[tuple, ...] = ()  # facets as sorted tuples, made once
+        self._index: tuple | None = None  # _index_rows, made once
         self._faces: dict[int, tuple] = {}
         self._findex: dict[int, dict] = {}
 
@@ -76,20 +80,33 @@ class SimplicialComplex:
         """All k-faces as sorted vertex tuples, lexicographically ordered.
 
         Degree -1 yields the single empty tuple when the complex is
-        nonvoid.
+        nonvoid.  Each facet is held as a sorted row of positions in
+        ``vertices``; the (k+1)-column subsets of those rows are sorted
+        and deduplicated in numpy, and since positions follow the vertex
+        order, sorted rows are sorted vertex tuples.
+
+        >>> SimplicialComplex.from_facets(["cab", "dc"]).faces(1)
+        (('a', 'b'), ('a', 'c'), ('b', 'c'), ('c', 'd'))
         """
         if k == -1:
             return ((),) if self._nonvoid else ()
         if k < -1 or k > self._dim:
             return ()
         if k not in self._faces:
-            if not self._sorted:
-                self._sorted = tuple(tuple(sorted(f)) for f in self._facets)
-            seen = set()
-            for f in self._sorted:
-                if len(f) > k:
-                    seen.update(combinations(f, k + 1))
-            self._faces[k] = tuple(sorted(seen))
+            if self._index is None:
+                self._index = _index_rows(self._facets, self.vertices)
+            labels, by_size = self._index
+            parts = []
+            for a in by_size:
+                if a.shape[1] > k:
+                    picks = np.array(list(combinations(range(a.shape[1]), k + 1)))
+                    parts.append(a[:, picks].reshape(-1, k + 1))
+            rows = np.concatenate(parts)
+            rows = rows[np.lexsort(rows.T[::-1])]  # the last key is the primary one
+            fresh = np.ones(len(rows), dtype=bool)
+            fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            rows = rows[fresh]
+            self._faces[k] = tuple(zip(*[labels[col].tolist() for col in rows.T]))
         return self._faces[k]
 
     def face_index(self, k: int) -> dict:
@@ -141,6 +158,24 @@ class SimplicialComplex:
         if self.is_void:
             return "SimplicialComplex(void)"
         return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
+
+
+def _index_rows(facets: frozenset[frozenset], vertices: tuple) -> tuple:
+    """The vertices as an object array, and the facets as sorted rows of
+    vertex positions, one int array per facet size.
+
+    The dtype is the smallest unsigned type holding every position, which
+    keeps the arrays small and lets ``np.lexsort`` radix-sort each column.
+    """
+    position = {v: i for i, v in enumerate(vertices)}
+    dtype = np.min_scalar_type(len(vertices) - 1)
+    by_size: dict[int, list] = {}
+    for f in facets:
+        by_size.setdefault(len(f), []).append([position[v] for v in f])
+    rows = tuple(np.sort(np.array(r, dtype=dtype), axis=1) for r in by_size.values())
+    # fromiter keeps a tuple-valued vertex (a Square) as one element
+    labels = np.fromiter(vertices, dtype=object, count=len(vertices))
+    return labels, rows
 
 
 def _maximal_sets(sets: Iterable[frozenset]) -> list[frozenset]:

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from cyclefree import (
     SimplicialComplex,
+    Square,
     intersection,
     join,
     suspension,
@@ -39,6 +42,63 @@ def test_faces_are_sorted_tuples():
     assert c.faces(1) == (("a", "c"), ("b", "c"))
     assert c.faces(2) == ()
     assert c.faces(-3) == ()
+
+
+class TestFaceLists:
+    def test_one_vertex(self):
+        assert POINT.faces(0) == (("a",),)
+        assert POINT.faces(1) == ()
+        assert POINT.f_vector() == (1,)
+
+    def test_one_facet_lists_all_its_subsets(self):
+        c = K("dbca")
+        for k in range(4):
+            assert c.faces(k) == tuple(combinations("abcd", k + 1))
+        assert c.f_vector() == (4, 6, 4, 1)
+
+    def test_empty_face_and_void(self):
+        assert EMPTYFACE.faces(-1) == ((),)
+        assert EMPTYFACE.f_vector() == ()
+        for k in (-3, -2, 0, 1, 2):
+            assert EMPTYFACE.faces(k) == ()
+        for k in range(-3, 3):
+            assert VOID.faces(k) == ()
+        assert VOID.f_vector() == ()
+
+    def test_non_pure_facets_of_one_to_four_vertices(self):
+        # facet sizes interleave in the vertex order, and the integer
+        # sets do not iterate in sorted order
+        c = K([9], [7, 2], [8, 1, 5], [6, 0, 4, 3])
+        assert c.facets == {frozenset(f) for f in ([9], [2, 7], [1, 5, 8], [0, 3, 4, 6])}
+        assert c.faces(0) == tuple((v,) for v in range(10))
+        assert c.faces(1) == (
+            (0, 3), (0, 4), (0, 6), (1, 5), (1, 8),
+            (2, 7), (3, 4), (3, 6), (4, 6), (5, 8),
+        )
+        assert c.faces(2) == ((0, 3, 4), (0, 3, 6), (0, 4, 6), (1, 5, 8), (3, 4, 6))
+        assert c.faces(3) == ((0, 3, 4, 6),)
+        assert c.faces(4) == ()
+
+    def test_square_vertices_stay_whole(self):
+        # a tuple-valued vertex must come back as one Square, not be split
+        # into its row and column
+        c = K([Square(2, 1), Square(1, 2)], [Square(1, 1)])
+        assert c.faces(0) == ((Square(1, 1),), (Square(1, 2),), (Square(2, 1),))
+        assert c.faces(1) == ((Square(1, 2), Square(2, 1)),)
+        assert all(type(v) is Square for face in c.faces(1) for v in face)
+        assert K([Square(3, 4)]).faces(0) == ((Square(3, 4),),)
+
+    def test_more_vertices_than_a_byte_holds(self):
+        path = [[i, i + 1] for i in range(299)]
+        c = K(*path, [299, 150, 0])
+        assert c.faces(0) == tuple((v,) for v in range(300))
+        edges = {(i, i + 1) for i in range(299)} | {(0, 150), (0, 299), (150, 299)}
+        assert c.faces(1) == tuple(sorted(edges))
+        assert c.faces(2) == ((0, 150, 299),)
+
+    def test_faces_are_cached(self):
+        c = K("abc", "cd")
+        assert c.faces(1) is c.faces(1)
 
 
 def test_face_index_matches_enumeration():

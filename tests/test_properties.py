@@ -18,6 +18,7 @@ from cyclefree import (
     AbelianGroup,
     Chain,
     SimplicialComplex,
+    Square,
     betti_numbers,
     dense_snf,
     homology,
@@ -155,6 +156,27 @@ def test_field_rank_counts_factors_coprime_to_p(pair, p):
     factors = dense_snf(dense)
     assert rank_z(sparse) == len(factors)
     assert rank_mod_p(sparse, p) == sum(1 for d in factors if d % p)
+
+
+def _brute_faces(c, k):
+    """The sorted set of (k+1)-subsets of the sorted facets."""
+    if k < -1:
+        return ()
+    subsets = {f for facet in c.facets for f in combinations(sorted(facet), k + 1)}
+    return tuple(sorted(subsets))
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        complexes(range(8)),
+        complexes(list("abcdefgh")),
+        complexes([Square(r, c) for r in range(3) for c in range(3)]),
+    )
+)
+def test_faces_are_the_sorted_subsets_of_the_facets(c):
+    for k in range(-3, c.dim + 2):
+        assert c.faces(k) == _brute_faces(c, k)
 
 
 @SETTINGS
