@@ -93,21 +93,25 @@ class SimplicialComplex:
         if k < -1 or k > self._dim:
             return ()
         if k not in self._faces:
-            if self._index is None:
-                self._index = _index_rows(self._facets, self.vertices)
-            labels, by_size = self._index
-            parts = []
-            for a in by_size:
-                if a.shape[1] > k:
-                    picks = np.array(list(combinations(range(a.shape[1]), k + 1)))
-                    parts.append(a[:, picks].reshape(-1, k + 1))
-            rows = np.concatenate(parts)
-            rows = rows[np.lexsort(rows.T[::-1])]  # the last key is the primary one
-            fresh = np.ones(len(rows), dtype=bool)
-            fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            rows = rows[fresh]
+            rows = self._face_rows(k)
+            labels = self._index[0]
             self._faces[k] = tuple(zip(*[labels[col].tolist() for col in rows.T]))
         return self._faces[k]
+
+    def _face_rows(self, k: int) -> np.ndarray:
+        """The k-faces as sorted, distinct rows of vertex positions, 0 <= k <= dim."""
+        if self._index is None:
+            self._index = _index_rows(self._facets, self.vertices)
+        parts = []
+        for a in self._index[1]:
+            if a.shape[1] > k:
+                picks = np.array(list(combinations(range(a.shape[1]), k + 1)))
+                parts.append(a[:, picks].reshape(-1, k + 1))
+        rows = np.concatenate(parts)
+        rows = rows[np.lexsort(rows.T[::-1])]  # the last key is the primary one
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return rows[fresh]
 
     def face_index(self, k: int) -> dict:
         """Face tuple -> position within faces(k)."""
@@ -116,7 +120,12 @@ class SimplicialComplex:
         return self._findex[k]
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces(k)) for k in range(self.dim + 1))
+        """Face counts in degrees 0..dim, from the cached tuples or else
+        the index rows, so no face tuple is built."""
+        return tuple(
+            len(self._faces[k]) if k in self._faces else len(self._face_rows(k))
+            for k in range(self.dim + 1)
+        )
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))

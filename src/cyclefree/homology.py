@@ -14,10 +14,15 @@ The second route, :func:`dense_snf`, runs the one dense Smith routine
 (vectorised rank-1 updates on numpy object arrays) on the full matrix;
 it shares no elimination code with the sparse route and serves as an
 oracle in the test suite.  The same dense routine finishes the sparse
-route's leftover block, canonicalises torsion (the Smith form of a
-diagonal of orders is their invariant-factor chain) and, tracking its
-row transform only, builds presentations: the row transform of d_k^T
-is the transposed column transform of d_k.
+route's leftover block and canonicalises torsion (the Smith form of a
+diagonal of orders is their invariant-factor chain).
+
+Presentations (generator cycles, class coordinates, induced maps) run
+on the sparse route too.  The pivot rows of one elimination of d_k
+give the cycles by back-substitution, and those of a second, of the
+(k+1)-face boundaries in cycle coordinates, reduce a class; the dense
+routine, tracking its row transform only, sees just the two leftover
+blocks (see :class:`Presentation`).
 
 The sparse elimination works on rows and records the columns it
 pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
@@ -59,7 +64,9 @@ class AbelianGroup:
     torsion entry; any multiset of cyclic orders is accepted and
     canonicalized, so ``AbelianGroup(0, (2, 3)) == AbelianGroup(0, (6,))``.
     The canonical torsion is the invariant-factor chain of the orders:
-    the factors > 1 of the Smith form of diag(|orders|).
+    the factors > 1 of the Smith form of diag(|orders|).  Orders that
+    already form that chain once 0s and 1s are dropped are kept as they
+    are, with no Smith form.
     """
 
     __slots__ = ("rank", "torsion")
@@ -68,9 +75,10 @@ class AbelianGroup:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         object.__setattr__(self, "rank", int(rank))
-        orders = [abs(int(t)) for t in torsion]
-        chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
-        object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
+        orders = [o for o in (abs(int(t)) for t in torsion) if o > 1]
+        if any(b % a for a, b in zip(orders, orders[1:])):
+            orders = [f for f in _smith(np.diag(np.array(orders, dtype=object)))[0] if f > 1]
+        object.__setattr__(self, "torsion", tuple(orders))
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -297,7 +305,12 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"coefficients must be a prime, got {p}")
 
 
-def _sparse_eliminate(matrix: SparseIntMatrix, p: int = 0, keep: Optional[int] = None):
+def _sparse_eliminate(
+    matrix: SparseIntMatrix,
+    p: int = 0,
+    keep: Optional[int] = None,
+    pivot_rows: Optional[list] = None,
+):
     """Sparse row elimination over Z (``p == 0``) or over F_p (``p`` prime).
 
     Returns ``(pivot_cols, leftover)``.  ``pivot_cols`` lists the column
@@ -305,8 +318,10 @@ def _sparse_eliminate(matrix: SparseIntMatrix, p: int = 0, keep: Optional[int] =
     other row is cleared in it, so the pivot rows (as they stood when
     chosen) restricted to the pivot columns form a triangular matrix with
     unit diagonal; :func:`_reduce` relies on that to clear the next
-    boundary map up.  ``leftover`` maps each other nonzero row to its
-    entries as they end, all zero on the pivot columns.  Over F_p every
+    boundary map up, and :class:`Presentation` solves with them: a
+    ``pivot_rows`` list, if given, receives them as dicts, in pivot
+    order.  ``leftover`` maps each other nonzero row to its entries as
+    they end, all zero on the pivot columns.  Over F_p every
     nonzero entry can be a pivot, so nothing is left over.  Over Z only
     +-1 entries are pivots, a row with none is deferred, and the row
     operations are unimodular: the invariant factors of the input are
@@ -395,6 +410,8 @@ def _sparse_eliminate(matrix: SparseIntMatrix, p: int = 0, keep: Optional[int] =
         colocc.pop(c, None)
         del rows[i]
         pivot_cols.append(c)
+        if pivot_rows is not None:
+            pivot_rows.append(row)  # retired: no later step writes to it
     return pivot_cols, {i: row for i, row in rows.items() if row}
 
 
@@ -432,6 +449,20 @@ def _leftover_block(leftover: dict[int, dict[int, int]]) -> np.ndarray:
         for j, v in row.items():
             dense[at[j], c] = v
     return dense
+
+
+def _leftover_transform(leftover: dict[int, dict[int, int]]) -> tuple:
+    """``(touched, factors, u, uinv)`` for the leftover rows L.
+
+    ``touched`` lists the columns L uses, sorted; the rest is
+    ``_smith(L^T, left=True)``, whose rows follow ``touched``.  With no
+    leftover rows everything is empty.
+    """
+    if not leftover:
+        empty = np.zeros((0, 0), dtype=object)
+        return [], [], empty, empty
+    touched = sorted({j for row in leftover.values() for j in row})
+    return (touched, *_smith(_leftover_block(leftover), left=True))
 
 
 def _smith_factors(matrix: SparseIntMatrix) -> tuple[list[int], tuple[int, ...]]:
@@ -497,7 +528,7 @@ def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense Smith normal form (oracle route, leftover blocks, presentations)
+# dense Smith normal form (oracle route, leftover blocks)
 
 
 def _smith(a, left: bool = False):
@@ -510,8 +541,9 @@ def _smith(a, left: bool = False):
     some unimodular v that is never formed.  So the rows of ``u @ a``
     past ``len(factors)`` are zero.  Untracked, u and uinv are None.
     Only one side is ever needed: the right transform of a is the
-    transpose of the left one of a.T (see :class:`Presentation`).  The
-    input is not modified; arrays have dtype object, so arithmetic stays
+    transpose of the left one of a.T, so the rows of u past the rank
+    span the kernel of a.T (see :class:`Presentation`).  The input is
+    not modified; arrays have dtype object, so arithmetic stays
     exact.
 
     Each pivot is a smallest nonzero entry of the remaining block: its
@@ -906,82 +938,138 @@ def is_boundary(
 class Presentation:
     """H_k of a complex with generator cycles and class coordinates.
 
-    Built from two dense Smith reductions that track the row transform:
-    one of d_k^T, one of d_{k+1} in cycle coordinates.  ``class_of``
-    maps a cycle to its coordinates over the nontrivial generators
-    (entries reduced modulo the finite orders; order 0 means an infinite
-    cyclic summand).  Chains are those of the augmented complex.
+    Two sparse eliminations keep their pivot rows (see
+    :func:`_sparse_eliminate`), and the dense :func:`_smith` sees only
+    their leftover blocks; no n_k x n_k transform is formed.
+
+    *Cycles.*  Reducing the rows of d_k leaves pivot rows P, unit upper
+    triangular on their pivot columns C, and leftover rows L, zero on C;
+    the other rows are zero, so x is a cycle iff P x = 0 and L x = 0.
+    Given x on the other k-faces D, P x = 0 fixes x_C integrally, by
+    back-substitution in reverse pivot order.  So a cycle is fixed by
+    x_D, and any x_D with L x_D = 0 extends to one.  Its coordinates are
+    its entries on the faces of D that L leaves untouched, then those of
+    x_E, on the faces E that L touches, in a basis of the kernel of L:
+    the rows of the left transform of L^T past its rank.
+
+    *Classes.*  The (k+1)-face boundaries, in cycle coordinates, are the
+    rows of the second elimination, with pivot rows Q on columns C2 and
+    leftover rows L2 touching the columns E2.  Row operations keep the
+    lattice these rows span, the boundaries, so no transform is tracked.
+    Subtracting rows of Q in pivot order leaves a cycle zero on C2 in
+    the same class.  A boundary that is zero on C2 uses no row of Q (Q
+    is invertible there), so it lies in the lattice of L2.  Hence H_k is
+    Z for each coordinate in neither C2 nor E2, plus Z^E2 modulo the
+    rows of L2, whose Smith form comes from the left transform of L2^T:
+    the columns of its inverse are the remaining generators.
+
+    ``class_of`` maps a cycle to its coordinates over the nontrivial
+    generators (entries reduced modulo the finite orders; order 0 means
+    an infinite cyclic summand).  ``orders`` lists the torsion orders
+    first, then the 0s, and ``class_of`` sends generator i to e_i.
+    Chains are those of the augmented complex.
     """
 
     def __init__(self, complex_: SimplicialComplex, degree: int):
         self.complex = complex_
         self.degree = k = degree
-        faces_k = complex_.faces(k)
-        nk = len(faces_k)
-        # d_k^T, reduced on the left: u d_k^T w = D for a unimodular w,
-        # so d_k v = w^-T D^T with v = u^T.  With r nonzero factors the
-        # last s columns of v are a basis of the cycles, and vinv @ z
-        # (vinv = uinv^T) holds a cycle z's coordinates in that basis
-        # below r zeros
-        a = np.zeros((nk, len(complex_.faces(k - 1))), dtype=object)
-        for j, col in boundary_matrix(complex_, k).cols.items():
-            for i, val in col.items():
-                a[j, i] = val
-        factors_a, u, uinv = _smith(a, left=True)
-        v, vinv = u.T, uinv.T
-        r = len(factors_a)
-        s = nk - r
-        # d_{k+1} in cycle coordinates: c[:, j] = vinv[r:] @ column j
-        b = boundary_matrix(complex_, k + 1)
-        c = np.zeros((s, b.ncols), dtype=object)
-        cyc = vinv[r:]
-        for j, col in b.cols.items():
-            c[:, j] = cyc[:, list(col)] @ np.array(list(col.values()), dtype=object)
-        factors_c, u_c, uinv_c = _smith(c, left=True)
-        orders = factors_c + [0] * (s - len(factors_c))
-        # generator i of the cokernel is V[:, r:] @ uinv_c[:, i], of order orders[i]
-        keep = [i for i, o in enumerate(orders) if o != 1]
-        gen_cols = v[:, r:] @ uinv_c[:, keep]
-        self.generators = tuple(
-            (
-                Chain({faces_k[j]: int(x) for j, x in enumerate(gen_cols[:, t]) if x}, degree=k),
-                orders[i],
-            )
-            for t, i in enumerate(keep)
-        )
-        self.group = AbelianGroup(
-            sum(1 for o in orders if o == 0),
-            [o for o in orders if o > 1],
-        )
-        self._vinv = vinv
-        self._rank = r
-        self._u_c = u_c
-        self._all_orders = orders
+        # stage 1: the cycles of d_k
+        self._faces = complex_.faces(k)
+        self._d = boundary_matrix(complex_, k)
+        back: list = []
+        pivots, left = _sparse_eliminate(self._d, pivot_rows=back)
+        self._back = tuple(zip(pivots, back))[::-1]
+        self._touched, factors, u, uinv = _leftover_transform(left)
+        skip = set(pivots).union(self._touched)
+        self._free = [j for j in range(len(self._faces)) if j not in skip]
+        self._at = {j: t for t, j in enumerate(self._free)}
+        r = len(factors)
+        self._kernel, self._kernel_inv = u[r:], uinv[:, r:].T
+        s = len(self._free) + len(self._kernel)
+        # stage 2: the boundaries in cycle coordinates, as rows
+        up = boundary_matrix(complex_, k + 1)
+        cols: dict[int, dict[int, int]] = {}
+        for b, col in up.cols.items():
+            for t, v in self._coords(col).items():
+                cols.setdefault(t, {})[b] = v
+        rows: list = []
+        pivots, left = _sparse_eliminate(SparseIntMatrix(up.ncols, s, cols), pivot_rows=rows)
+        self._pivots = tuple(zip(pivots, rows))
+        self._touched2, factors, u, uinv = _leftover_transform(left)
+        skip = set(pivots).union(self._touched2)
+        self._free2 = [t for t in range(s) if t not in skip]
+        keep = [i for i in range(len(self._touched2)) if i >= len(factors) or factors[i] > 1]
+        self._u = u[keep]
+        self._block_orders = [factors[i] if i < len(factors) else 0 for i in keep]
+        self.orders = tuple(self._block_orders) + (0,) * len(self._free2)
+        gens = [
+            {t: int(x) for t, x in zip(self._touched2, uinv[:, i]) if x} for i in keep
+        ] + [{t: 1} for t in self._free2]
+        self.generators = tuple(zip(self._cycles(gens), self.orders))
+        self.group = AbelianGroup(self.orders.count(0), [o for o in self.orders if o])
+
+    def _coords(self, x: Mapping[int, int]) -> dict[int, int]:
+        """The coordinates of a cycle, given by its entries on the k-faces."""
+        w = {self._at[j]: v for j, v in x.items() if j in self._at}
+        y = [x.get(j, 0) for j in self._touched]
+        if any(y):
+            z = self._kernel_inv @ np.array(y, dtype=object)
+            w.update((len(self._free) + i, int(v)) for i, v in enumerate(z) if v)
+        return w
+
+    def _cycles(self, ws: Sequence[Mapping[int, int]]) -> list[Chain]:
+        """The cycles with coordinates ws: entries on D, then back-substitution.
+
+        They are solved for together, as the columns of an n_k x len(ws)
+        array.
+        """
+        if not ws:
+            return []
+        n = len(self._free)
+        x = np.zeros((len(self._faces), len(ws)), dtype=object)
+        z = np.zeros((len(self._kernel), len(ws)), dtype=object)
+        for g, w in enumerate(ws):
+            for t, v in w.items():
+                if t < n:
+                    x[self._free[t], g] = v
+                else:
+                    z[t - n, g] = v
+        if len(self._kernel):
+            x[self._touched] = self._kernel.T @ z
+        for c, row in self._back:  # reverse pivot order; row[c] is +-1
+            uses = [j for j in row if j != c]
+            if uses:
+                x[c] = -row[c] * (np.array([row[j] for j in uses], dtype=object) @ x[uses])
+        return [
+            Chain({self._faces[j]: int(col[j]) for j in np.flatnonzero(col)}, degree=self.degree)
+            for col in x.T
+        ]
 
     def class_of(self, chain: Chain) -> tuple[int, ...]:
         """Coordinates of a cycle's class over the nontrivial generators."""
         if chain.degree != self.degree:
             raise ValueError("chain degree does not match the presentation")
-        index = self.complex.face_index(self.degree)
-        idx, vals = [], []
-        for face, cval in chain.items():
-            if face not in index:
-                raise ValueError(f"chain uses a face outside the complex: {face}")
-            idx.append(index[face])
-            vals.append(cval)
-        w = self._vinv[:, idx] @ np.array(vals, dtype=object)
-        if np.count_nonzero(w[: self._rank]):
+        x = chain_vector(chain, self.complex)
+        image: dict[int, int] = {}  # d_k x
+        for j, v in x.items():
+            for i, e in self._d.cols.get(j, {}).items():
+                image[i] = image.get(i, 0) + e * v
+        if any(image.values()):
             raise ValueError("chain is not a cycle")
-        cc = self._u_c @ w[self._rank:]
-        return tuple(
-            int(cc[i] % o) if o else int(cc[i])
-            for i, o in enumerate(self._all_orders)
-            if o != 1
-        )
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(o for o in self._all_orders if o != 1)
+        w = self._coords(x)
+        for c, row in self._pivots:  # each row is zero on the earlier pivot columns
+            a = w.get(c)
+            if a:
+                a *= row[c]
+                for j, v in row.items():
+                    nv = w.get(j, 0) - a * v
+                    if nv:
+                        w[j] = nv
+                    else:
+                        del w[j]
+        y = self._u @ np.array([w.get(t, 0) for t in self._touched2], dtype=object)
+        block = tuple(int(v) % o if o else int(v) for v, o in zip(y, self._block_orders))
+        return block + tuple(w.get(t, 0) for t in self._free2)
 
 
 @dataclass(frozen=True)

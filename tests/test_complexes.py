@@ -100,6 +100,13 @@ class TestFaceLists:
         c = K("abc", "cd")
         assert c.faces(1) is c.faces(1)
 
+    def test_f_vector_builds_no_face_tuples(self):
+        c = K("abcd", "cde", "ef")
+        assert c.f_vector() == (6, 9, 5, 1)
+        assert not c._faces
+        c.faces(1)
+        assert c.f_vector() == (6, 9, 5, 1) and list(c._faces) == [1]
+
 
 def test_face_index_matches_enumeration():
     idx = TRIANGLE_BOUNDARY.face_index(1)

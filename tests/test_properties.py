@@ -180,6 +180,15 @@ def test_faces_are_the_sorted_subsets_of_the_facets(c):
 
 
 @SETTINGS
+@given(st.one_of(complexes(range(8)), st.just(SimplicialComplex.from_facets([]))))
+def test_f_vector_counts_the_faces(c):
+    # complexes(...) includes {empty face}; the void complex is added here
+    fv = c.f_vector()
+    assert not c._faces  # counted without a face tuple
+    assert fv == tuple(len(c.faces(k)) for k in range(c.dim + 1))
+
+
+@SETTINGS
 @given(complexes(range(6)), complexes(range(10, 16)))
 def test_join_multiplies_f_polynomials(k1, k2):
     # f-polynomials with the empty face included, so f(K * L) = f(K) f(L)
@@ -241,6 +250,27 @@ def test_invariant_factors_form_a_divisor_chain(torsion):
     diag = [[torsion[i] if i == j else 0 for j in range(n)] for i in range(n)]
     want = tuple(f for f in _determinantal_factors(diag) if f > 1) if n else ()
     assert AbelianGroup(0, torsion).torsion == want
+
+
+def _divisor_chains(factors):
+    """Divisor chains: running products of the lists ``factors`` draws."""
+    return factors.map(lambda fs: [math.prod(fs[: i + 1]) for i in range(len(fs))])
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        st.lists(st.integers(-40, 40), max_size=8),
+        _divisor_chains(st.lists(st.integers(1, 5), max_size=8)),
+        _divisor_chains(st.lists(st.integers(1, 5), max_size=8)).map(lambda c: [0, 1, -1] + c),
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), max_size=30),
+    )
+)
+def test_torsion_is_the_smith_form_of_the_orders(orders):
+    # a divisor chain skips the Smith form; every input must give its result
+    diag = np.diag(np.array([abs(o) for o in orders], dtype=object))
+    want = tuple(f for f in _smith(diag)[0] if f > 1) if orders else ()
+    assert AbelianGroup(0, orders).torsion == want
 
 
 @SETTINGS
