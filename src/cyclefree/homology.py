@@ -64,9 +64,7 @@ class AbelianGroup:
     torsion entry; any multiset of cyclic orders is accepted and
     canonicalized, so ``AbelianGroup(0, (2, 3)) == AbelianGroup(0, (6,))``.
     The canonical torsion is the invariant-factor chain of the orders:
-    the factors > 1 of the Smith form of diag(|orders|).  Orders that
-    already form that chain once 0s and 1s are dropped are kept as they
-    are, with no Smith form.
+    the factors > 1 of the Smith form of diag(|orders|).
     """
 
     __slots__ = ("rank", "torsion")
@@ -75,10 +73,9 @@ class AbelianGroup:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         object.__setattr__(self, "rank", int(rank))
-        orders = [o for o in (abs(int(t)) for t in torsion) if o > 1]
-        if any(b % a for a, b in zip(orders, orders[1:])):
-            orders = [f for f in _smith(np.diag(np.array(orders, dtype=object)))[0] if f > 1]
-        object.__setattr__(self, "torsion", tuple(orders))
+        orders = [abs(int(t)) for t in torsion]
+        chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
+        object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -436,33 +433,19 @@ def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     return _with_pivots(len(pivot_cols), pivot_cols)
 
 
-def _leftover_block(leftover: dict[int, dict[int, int]]) -> np.ndarray:
-    """The sparse stage's leftover rows as the columns of a dense array.
+def _leftover_block(leftover: dict[int, dict[int, int]]) -> tuple[list[int], np.ndarray]:
+    """The columns the sparse stage's leftover rows use, sorted, and those
+    rows as the columns of a dense array whose rows follow that list.
 
-    Its rows are the matrix columns the leftover rows use.  Swapping
-    rows and columns keeps the Smith form.
+    Swapping rows and columns keeps the Smith form.
     """
-    cols_used = sorted({j for row in leftover.values() for j in row})
-    at = {j: r for r, j in enumerate(cols_used)}
-    dense = np.zeros((len(cols_used), len(leftover)), dtype=object)
+    touched = sorted({j for row in leftover.values() for j in row})
+    at = {j: r for r, j in enumerate(touched)}
+    dense = np.zeros((len(touched), len(leftover)), dtype=object)
     for c, row in enumerate(leftover.values()):
         for j, v in row.items():
             dense[at[j], c] = v
-    return dense
-
-
-def _leftover_transform(leftover: dict[int, dict[int, int]]) -> tuple:
-    """``(touched, factors, u, uinv)`` for the leftover rows L.
-
-    ``touched`` lists the columns L uses, sorted; the rest is
-    ``_smith(L^T, left=True)``, whose rows follow ``touched``.  With no
-    leftover rows everything is empty.
-    """
-    if not leftover:
-        empty = np.zeros((0, 0), dtype=object)
-        return [], [], empty, empty
-    touched = sorted({j for row in leftover.values() for j in row})
-    return (touched, *_smith(_leftover_block(leftover), left=True))
+    return touched, dense
 
 
 def _smith_factors(matrix: SparseIntMatrix) -> tuple[list[int], tuple[int, ...]]:
@@ -474,7 +457,7 @@ def _smith_factors(matrix: SparseIntMatrix) -> tuple[list[int], tuple[int, ...]]
     factors are the 1s followed by those of the leftover block.
     """
     pivot_cols, leftover = _sparse_eliminate(matrix)
-    rest = dense_snf(_leftover_block(leftover)) if leftover else ()
+    rest = dense_snf(_leftover_block(leftover)[1]) if leftover else ()
     return pivot_cols, (1,) * len(pivot_cols) + rest
 
 
@@ -524,7 +507,7 @@ def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
     if p:
         return False
     block = {i: {c: v for c, v in row.items() if c != j} for i, row in leftover.items()}
-    return dense_snf(_leftover_block(block)) == dense_snf(_leftover_block(leftover))
+    return dense_snf(_leftover_block(block)[1]) == dense_snf(_leftover_block(leftover)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -975,11 +958,11 @@ class Presentation:
         self.degree = k = degree
         # stage 1: the cycles of d_k
         self._faces = complex_.faces(k)
-        self._d = boundary_matrix(complex_, k)
         back: list = []
-        pivots, left = _sparse_eliminate(self._d, pivot_rows=back)
+        pivots, left = _sparse_eliminate(boundary_matrix(complex_, k), pivot_rows=back)
         self._back = tuple(zip(pivots, back))[::-1]
-        self._touched, factors, u, uinv = _leftover_transform(left)
+        self._touched, block = _leftover_block(left)
+        factors, u, uinv = _smith(block, left=True)
         skip = set(pivots).union(self._touched)
         self._free = [j for j in range(len(self._faces)) if j not in skip]
         self._at = {j: t for t, j in enumerate(self._free)}
@@ -995,7 +978,8 @@ class Presentation:
         rows: list = []
         pivots, left = _sparse_eliminate(SparseIntMatrix(up.ncols, s, cols), pivot_rows=rows)
         self._pivots = tuple(zip(pivots, rows))
-        self._touched2, factors, u, uinv = _leftover_transform(left)
+        self._touched2, block = _leftover_block(left)
+        factors, u, uinv = _smith(block, left=True)
         skip = set(pivots).union(self._touched2)
         self._free2 = [t for t in range(s) if t not in skip]
         keep = [i for i in range(len(self._touched2)) if i >= len(factors) or factors[i] > 1]
@@ -1050,11 +1034,7 @@ class Presentation:
         if chain.degree != self.degree:
             raise ValueError("chain degree does not match the presentation")
         x = chain_vector(chain, self.complex)
-        image: dict[int, int] = {}  # d_k x
-        for j, v in x.items():
-            for i, e in self._d.cols.get(j, {}).items():
-                image[i] = image.get(i, 0) + e * v
-        if any(image.values()):
+        if not chain.boundary().is_zero:
             raise ValueError("chain is not a cycle")
         w = self._coords(x)
         for c, row in self._pivots:  # each row is zero on the earlier pivot columns

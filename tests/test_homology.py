@@ -75,7 +75,7 @@ class TestAbelianGroup:
         assert AbelianGroup(0, (2, 2, 3)).torsion == (2, 6)
         assert AbelianGroup(0, (4, 6)).torsion == (2, 12)
         assert str(AbelianGroup(0, (4, 6))) == "Z/2 + Z/12"
-        # a divisor chain, once 0s and 1s are dropped, is kept as given
+        # a divisor chain, once 0s and 1s are dropped, is its own canonical form
         assert AbelianGroup(0, (2, 0, 4, 1, -8)).torsion == (2, 4, 8)
         assert AbelianGroup(0, [3] * 200).torsion == (3,) * 200
 

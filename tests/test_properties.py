@@ -241,17 +241,6 @@ def test_links_are_cycle_free_complexes_of_the_reduced_spec(n, m, p, rng):
     assert c.link(v) == omega(reduced_spec(spec, v))
 
 
-@SETTINGS
-@given(st.lists(st.integers(2, 60), max_size=5))
-def test_invariant_factors_form_a_divisor_chain(torsion):
-    # the canonical chain is the Smith form of diag(torsion), here from
-    # minors alone: Z/4 + Z/6 is Z/2 + Z/12, not Z/24
-    n = len(torsion)
-    diag = [[torsion[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    want = tuple(f for f in _determinantal_factors(diag) if f > 1) if n else ()
-    assert AbelianGroup(0, torsion).torsion == want
-
-
 def _divisor_chains(factors):
     """Divisor chains: running products of the lists ``factors`` draws."""
     return factors.map(lambda fs: [math.prod(fs[: i + 1]) for i in range(len(fs))])
@@ -260,17 +249,21 @@ def _divisor_chains(factors):
 @SETTINGS
 @given(
     st.one_of(
-        st.lists(st.integers(-40, 40), max_size=8),
-        _divisor_chains(st.lists(st.integers(1, 5), max_size=8)),
-        _divisor_chains(st.lists(st.integers(1, 5), max_size=8)).map(lambda c: [0, 1, -1] + c),
-        st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), max_size=30),
+        st.lists(st.integers(2, 60), max_size=5),
+        st.lists(st.integers(-40, 40), max_size=6),
+        _divisor_chains(st.lists(st.integers(1, 5), max_size=6)),
+        _divisor_chains(st.lists(st.integers(1, 5), max_size=4)).map(lambda c: [0, 1, -1] + c),
+        st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), max_size=7),
     )
 )
-def test_torsion_is_the_smith_form_of_the_orders(orders):
-    # a divisor chain skips the Smith form; every input must give its result
-    diag = np.diag(np.array([abs(o) for o in orders], dtype=object))
-    want = tuple(f for f in _smith(diag)[0] if f > 1) if orders else ()
-    assert AbelianGroup(0, orders).torsion == want
+def test_invariant_factors_form_a_divisor_chain(torsion):
+    # the canonical chain is the Smith form of diag(torsion), here from
+    # minors alone: Z/4 + Z/6 is Z/2 + Z/12, not Z/24; signs, 0s and 1s
+    # add no torsion
+    n = len(torsion)
+    diag = [[torsion[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    want = tuple(f for f in _determinantal_factors(diag) if f > 1) if n else ()
+    assert AbelianGroup(0, torsion).torsion == want
 
 
 @SETTINGS
