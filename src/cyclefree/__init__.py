@@ -41,7 +41,6 @@ from .boards import (
     Square,
     alpha_cycles,
     as_config,
-    facet_from_order,
     is_cycle_free,
     is_nontaking,
     make_spec,
@@ -127,7 +126,6 @@ __all__ = [
     "delta",
     "dense_snf",
     "directed_matching",
-    "facet_from_order",
     "filtration_level",
     "format_complex",
     "full_board",

@@ -275,25 +275,6 @@ def is_cycle_free(config: Iterable, spec: BoardSpec) -> bool:
     return not alpha_cycles(config, spec)
 
 
-def facet_from_order(order, spec: BoardSpec) -> frozenset[Square]:
-    """The rook configuration threading the rows of X in a given order.
-
-    For ``order = (i_1, ..., i_n)`` the configuration consists of the
-    squares ``(i_k, alpha_inverse(i_{k+1}))`` for ``k < n``: row ``i_k``
-    points at row ``i_{k+1}`` through ``alpha``, so the induced digraph
-    is the path ``i_1 -> i_2 -> ... -> i_n`` and in particular has no
-    cycle.
-
-    >>> sorted(facet_from_order((2, 1, 3), make_spec(3)))
-    [Square(row=1, col=3), Square(row=2, col=1)]
-    """
-    order = tuple(order)
-    if len(order) != len(spec.x_rows) or frozenset(order) != spec.x_rows:
-        raise ValueError(f"order must be a permutation of X, got {order}")
-    inverse = spec.alpha._inv
-    return frozenset([Square(a, inverse[b]) for a, b in zip(order, order[1:])])
-
-
 def reduced_spec(spec: BoardSpec, v) -> BoardSpec:
     """The spec seen by the link of a vertex ``v = (a, b)``.
 

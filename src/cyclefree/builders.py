@@ -8,10 +8,9 @@ cycle-count filtrations, the multicycle bookkeeping the filtrations are
 indexed by, and the suspension ``sym``.
 
 Everything here is pure and deterministic.  Builders produce facets
-only, never the faces below them: full boards and bare blocks have
-closed formulas, and every other board goes through one row-by-row walk
-that keeps only the maximal configurations, so its result is already a
-facet set and skips the maximality filter of
+only, never the faces below them: every board goes through one
+row-by-row walk that keeps only the maximal configurations, so its
+result is already a facet set and skips the maximality filter of
 ``SimplicialComplex.from_facets``.
 """
 
@@ -20,14 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .boards import (
-    Bijection,
-    BoardSpec,
-    Square,
-    as_config,
-    facet_from_order,
-    make_spec,
-)
+from .boards import Bijection, BoardSpec, Square, as_config, make_spec
 from .complexes import SimplicialComplex, suspension, union
 
 __all__ = [
@@ -158,9 +150,8 @@ def _maximal_configs(
 def delta(board: Iterable) -> SimplicialComplex:
     """The chessboard complex of a board: all non-taking configurations.
 
-    A full product board gets its facets written down directly (every
-    maximal configuration pairs each row of the smaller side with a
-    distinct column), any other board goes through the facet walk.
+    Its facets are the maximal configurations, found by the facet walk
+    with no spec.
 
     >>> delta(full_board(2)).f_vector()
     (4, 2)
@@ -169,29 +160,14 @@ def delta(board: Iterable) -> SimplicialComplex:
     >>> delta([]).dim
     -1
     """
-    board = as_config(board)
-    rows = sorted({s.row for s in board})
-    cols = sorted({s.col for s in board})
-    if len(board) != len(rows) * len(cols):
-        return SimplicialComplex(_maximal_configs(board, None), nonvoid=True)
-    if len(rows) > len(cols):
-        pairs = (zip(perm, cols) for perm in itertools.permutations(rows, len(cols)))
-    else:
-        pairs = (zip(rows, perm) for perm in itertools.permutations(cols, len(rows)))
-    return SimplicialComplex(
-        frozenset(frozenset(Square(r, c) for r, c in f) for f in pairs), nonvoid=True
-    )
+    return SimplicialComplex(_maximal_configs(board, None), nonvoid=True)
 
 
 def omega(spec: BoardSpec) -> SimplicialComplex:
     """The cycle-free complex of a spec.
 
-    On a bare square block (no extra rows or columns) the facets are
-    written down without search: a cycle-free configuration induces a
-    disjoint union of directed paths on the rows of X, any such forest
-    with fewer than ``|X| - 1`` arcs extends by concatenating two paths,
-    and the forests with exactly ``|X| - 1`` arcs are the single paths,
-    one per linear order of X.  General specs go through the facet walk.
+    Its facets are the maximal configurations inducing no cycle through
+    ``spec``, found by the facet walk with no cycle allowed.
 
     >>> omega(make_spec(2)).f_vector()
     (2,)
@@ -200,15 +176,7 @@ def omega(spec: BoardSpec) -> SimplicialComplex:
     >>> omega(make_spec(0)).dim
     -1
     """
-    bare = not spec.z_rows and not spec.t_cols
-    if bare and len(spec.board) == len(spec.x_rows) * len(spec.y_cols):
-        facets = frozenset(
-            facet_from_order(order, spec)
-            for order in itertools.permutations(sorted(spec.x_rows))
-        )
-    else:
-        facets = _maximal_configs(spec.board, spec)
-    return SimplicialComplex(facets, nonvoid=True)
+    return SimplicialComplex(_maximal_configs(spec.board, spec), nonvoid=True)
 
 
 # -- column/row restrictions ---------------------------------------------

@@ -654,9 +654,6 @@ class HomologyResult:
     def __getitem__(self, k: int) -> AbelianGroup:
         return self.group(k)
 
-    def betti(self, k: int) -> int:
-        return self.group(k).rank
-
     def nontrivial(self) -> dict[int, AbelianGroup]:
         return {k: g for k, g in sorted(self.groups.items()) if not g.is_trivial}
 

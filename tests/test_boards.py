@@ -6,7 +6,6 @@ from cyclefree import (
     Square,
     alpha_cycles,
     as_config,
-    facet_from_order,
     is_cycle_free,
     is_nontaking,
     make_spec,
@@ -119,26 +118,6 @@ class TestInducedDigraph:
         assert not is_cycle_free([(1, 1), (2, 2)], s)
         assert is_cycle_free([(1, 1)], s)
         assert s.loop_squares() == {Square(1, 2), Square(2, 1)}
-
-
-class TestFacetFromOrder:
-    def test_example(self):
-        facet = facet_from_order((2, 1, 3), make_spec(3))
-        assert facet == {Square(2, 1), Square(1, 3)}
-
-    def test_all_orders_give_distinct_cycle_free_facets(self):
-        import itertools
-
-        s = make_spec(4)
-        facets = {facet_from_order(o, s) for o in itertools.permutations(s.x_rows)}
-        assert len(facets) == 24
-        assert all(is_cycle_free(f, s) for f in facets)
-
-    def test_must_be_a_permutation(self):
-        with pytest.raises(ValueError):
-            facet_from_order((1, 2), make_spec(3))
-        with pytest.raises(ValueError):
-            facet_from_order((1, 2, 2), make_spec(3))
 
 
 class TestReducedSpec:

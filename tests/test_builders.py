@@ -8,7 +8,9 @@ classical and double as sanity anchors.
 """
 
 import itertools
+import random
 from collections import Counter
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from cyclefree import (
     full_board,
     homology,
     intersection,
+    is_cycle_free,
     is_nontaking,
     make_spec,
     multicycles,
@@ -65,8 +68,6 @@ class TestDelta:
 
     def test_f_vector_counts_partial_matchings(self):
         # f_{k}(n x m) = C(n, k+1) C(m, k+1) (k+1)!
-        from math import comb, factorial
-
         c = delta(full_board(4, 5))
         expected = tuple(
             comb(4, k) * comb(5, k) * factorial(k) for k in range(1, 5)
@@ -115,6 +116,60 @@ class TestOmega:
 
     def test_extra_rows_can_create_torsion(self):
         assert H(omega(make_spec(3, 2))) == {1: AbelianGroup(1, (2,))}
+
+    def test_path_facet_example(self):
+        # the order 2, 1, 3 threads row 2 into row 1 and row 1 into row 3
+        assert frozenset({Square(2, 1), Square(1, 3)}) in omega(make_spec(3)).facets
+
+    def test_all_orders_give_distinct_cycle_free_facets(self):
+        s = make_spec(4)
+        facets = omega(s).facets
+        assert len(facets) == 24
+        assert all(len(f) == 3 and is_cycle_free(f, s) for f in facets)
+
+
+# -- closed facet formulas as oracles for the walk ---------------------------
+
+
+def relabelled_square_spec(n, seed):
+    """A bare n x n block with shuffled row and column labels and a random
+    bijection alpha."""
+    rng = random.Random(seed)
+    x = rng.sample(range(-20, 20), n)
+    y = rng.sample(range(-20, 20), n)
+    targets = rng.sample(x, n)
+    return BoardSpec([(r, c) for r in x for c in y], x, y, dict(zip(y, targets)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_omega_of_a_bare_block_has_one_path_facet_per_order(n):
+    # A cycle-free configuration induces a disjoint union of directed
+    # paths on the rows of X.  A forest with fewer than |X| - 1 arcs
+    # extends by joining the end of one path to the start of another, so
+    # the facets are the single paths, one per linear order of X: the
+    # order i_1, ..., i_n gives the squares (i_k, alpha^-1(i_{k+1})).
+    spec = relabelled_square_spec(n, seed=n)
+    paths = {
+        frozenset(Square(a, spec.alpha.inverse(b)) for a, b in zip(order, order[1:]))
+        for order in itertools.permutations(spec.x_rows)
+    }
+    assert len(paths) == factorial(n)
+    assert omega(spec).facets == paths
+
+
+@pytest.mark.parametrize(
+    "r, c", [*itertools.product(range(6), repeat=2), (6, 2), (2, 6)]
+)
+def test_delta_of_a_full_board_is_the_injective_maps(r, c):
+    # every maximal configuration maps the smaller side injectively into
+    # the larger one
+    rows, cols = range(1, r + 1), range(1, c + 1)
+    if r <= c:
+        maps = (zip(rows, image) for image in itertools.permutations(cols, r))
+    else:
+        maps = (zip(image, cols) for image in itertools.permutations(rows, c))
+    expected = {frozenset(Square(a, b) for a, b in m) for m in maps}
+    assert delta(full_board(r, c)).facets == expected
 
 
 class TestThetaFamily:
