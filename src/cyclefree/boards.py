@@ -158,16 +158,6 @@ class BoardSpec:
     def cols(self) -> frozenset[int]:
         return frozenset(s.col for s in self.board)
 
-    @property
-    def z_rows(self) -> frozenset[int]:
-        """Board rows outside the distinguished set X."""
-        return self.rows - self.x_rows
-
-    @property
-    def t_cols(self) -> frozenset[int]:
-        """Board columns outside the distinguished set Y."""
-        return self.cols - self.y_cols
-
     def loop_squares(self) -> frozenset[Square]:
         """Squares that alone form a cycle of length one."""
         return frozenset(

@@ -297,18 +297,6 @@ class Multicycle:
     def length(self) -> int:
         return sum(len(c) for c in self.cycles)
 
-    def config(self) -> frozenset[Square]:
-        """The rook configuration inducing exactly these cycles.
-
-        Under the identity bijection the arc v -> w is the square
-        (v, w); a loop at v is the diagonal square (v, v).
-        """
-        squares = []
-        for cyc in self.cycles:
-            for k, v in enumerate(cyc):
-                squares.append(Square(v, cyc[(k + 1) % len(cyc)]))
-        return frozenset(squares)
-
     def __eq__(self, other):
         return isinstance(other, Multicycle) and self.cycles == other.cycles
 

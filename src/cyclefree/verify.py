@@ -1,10 +1,10 @@
 """Runnable catalog of the package's headline claims, at desk scale.
 
 Every statement the library is meant to certify lives here as a claim:
-an id, the statement, and a recipe that recomputes both sides from
-scratch.  ``run_claims`` executes any subset and reports exact matches;
-nothing in this module tolerates approximation, a claim either
-reproduces its group on the nose or fails.
+an id, the statement, and a ``check`` that recomputes both sides from
+scratch.  ``run_claims`` calls the checks of any subset and reports
+exact matches; nothing in this module tolerates approximation, a claim
+either reproduces its group on the nose or fails.
 
 Connectivity bounds quoted by the claims:
 
@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .boards import Bijection, BoardSpec, Square, make_spec, reduced_spec
+from .boards import Bijection, BoardSpec, make_spec, reduced_spec
 from .builders import (
     delta,
     directed_matching,
@@ -136,11 +136,15 @@ class ClaimReport(NamedTuple):
 
 
 class Claim(NamedTuple):
-    """One catalog entry: a statement plus the recipe that checks it."""
+    """One catalog entry: a statement plus the recipe that checks it.
+
+    ``check`` takes no arguments and returns ``(passed, expected,
+    computed)``; the catalog binds each executor to its arguments with
+    :func:`functools.partial`.
+    """
 
     id: str
-    kind: str
-    args: tuple
+    check: Callable[[], tuple]
     statement: str
     long: bool = False
 
@@ -151,16 +155,9 @@ class Claim(NamedTuple):
 # Claims share their test objects through string keys so that a full run
 # builds each complex once.  Keys double as stable names in reports.
 
-_COMPLEX_CACHE: dict[str, SimplicialComplex] = {}
 
-
+@lru_cache(maxsize=None)
 def _complex(key: str) -> SimplicialComplex:
-    if key not in _COMPLEX_CACHE:
-        _COMPLEX_CACHE[key] = _build_complex(key)
-    return _COMPLEX_CACHE[key]
-
-
-def _build_complex(key: str) -> SimplicialComplex:
     parts = key.split("-")
     head = parts[0]
     if head == "omega":
@@ -243,11 +240,12 @@ def _exec_nonzero_mod_p(key: str, degree: int, p: int) -> tuple:
 def _exec_connectivity(key: str, bound: int) -> tuple:
     c = _complex(key)
     expected = f"H~_i = 0 for i <= {bound}"
+    # H~_{-1} vanishes exactly when the complex has a vertex: both the
+    # void complex and {empty face} fail every bound >= -1
+    if not c.vertices:
+        return False, expected, "complex has no vertex"
     if bound <= -1:
-        # the only reduced group at or below degree -1 is H~_{-1},
-        # which vanishes exactly when the complex is nonempty
-        ok = not c.is_void
-        return ok, expected, "complex nonempty" if ok else "complex is void"
+        return True, expected, "complex nonempty"
     res = homology(c, degrees=list(range(0, bound + 1)))
     low = {k: res.group(k) for k in range(0, bound + 1)}
     bad = {k: g for k, g in low.items() if not g.is_trivial}
@@ -531,144 +529,111 @@ def _exec_snf_oracle(face_limit: int) -> tuple:
     )
 
 
-_EXECUTORS: dict[str, Callable[..., tuple]] = {
-    "homology_at": _exec_homology_at,
-    "homology_all": _exec_homology_all,
-    "nonzero": _exec_nonzero,
-    "nonzero_mod_p": _exec_nonzero_mod_p,
-    "connectivity": _exec_connectivity,
-    "epimorphism": _exec_epimorphism,
-    "wedge": _exec_wedge,
-    "nm_connectivity": _exec_nm_connectivity,
-    "nonbounding": _exec_nonbounding,
-    "link_reduced": _exec_link_reduced,
-    "theta_decomposition": _exec_theta_decomposition,
-    "filtration_quotients": _exec_filtration_quotients,
-    "sym_shift": _exec_sym_shift,
-    "sym_connectivity": _exec_sym_connectivity,
-    "snf_oracle": _exec_snf_oracle,
-}
-
-
 # ---------------------------------------------------------------------------
 # the catalog
 
 CLAIMS: tuple[Claim, ...] = (
     Claim(
         "H2-Delta5",
-        "homology_at",
-        ("delta-5x5", (2,), {2: AbelianGroup(0, (3,))}),
+        partial(_exec_homology_at, "delta-5x5", (2,), {2: AbelianGroup(0, (3,))}),
         "H_2 of the 5x5 chessboard complex is Z/3",
     ),
     Claim(
         "Delta34-torus",
-        "homology_all",
-        ("delta-3x4", {1: AbelianGroup(2), 2: AbelianGroup(1)}),
+        partial(
+            _exec_homology_all, "delta-3x4", {1: AbelianGroup(2), 2: AbelianGroup(1)}
+        ),
         "the 3x4 chessboard complex has the homology of the torus",
     ),
     Claim(
         "omega-conn-2",
-        "connectivity",
-        ("omega-2", mu_n(2)),
+        partial(_exec_connectivity, "omega-2", mu_n(2)),
         "the cycle-free complex on 2 rows is mu-connective (mu = -1)",
     ),
     Claim(
         "omega-conn-3",
-        "connectivity",
-        ("omega-3", mu_n(3)),
+        partial(_exec_connectivity, "omega-3", mu_n(3)),
         "the cycle-free complex on 3 rows is mu-connective (mu = -1)",
     ),
     Claim(
         "omega-conn-4",
-        "connectivity",
-        ("omega-4", mu_n(4)),
+        partial(_exec_connectivity, "omega-4", mu_n(4)),
         "the cycle-free complex on 4 rows is mu-connective (mu = 0)",
     ),
     Claim(
         "omega-conn-5",
-        "connectivity",
-        ("omega-5", mu_n(5)),
+        partial(_exec_connectivity, "omega-5", mu_n(5)),
         "the cycle-free complex on 5 rows is mu-connective (mu = 1)",
     ),
     Claim(
         "omega-conn-6",
-        "connectivity",
-        ("omega-6", mu_n(6)),
+        partial(_exec_connectivity, "omega-6", mu_n(6)),
         "the cycle-free complex on 6 rows is mu-connective (mu = 1)",
     ),
     Claim(
         "omega-conn-7",
-        "connectivity",
-        ("omega-7", mu_n(7)),
+        partial(_exec_connectivity, "omega-7", mu_n(7)),
         "the cycle-free complex on 7 rows is mu-connective (mu = 2)",
     ),
     Claim(
         "omega5-epi-Z3",
-        "epimorphism",
-        ("omega-5", "delta-5x5", 2),
+        partial(_exec_epimorphism, "omega-5", "delta-5x5", 2),
         "H_2 of the cycle-free complex on 5 rows maps onto "
         "H_2(5x5 chessboard) = Z/3, the two-sphere class hitting a generator",
     ),
     Claim(
         "omega-wedge-2-2",
-        "wedge",
-        ("omega-2-2", 2),
+        partial(_exec_wedge, "omega-2-2", 2),
         "with 2 extra rows the 2-row complex is a homology wedge of 1-spheres",
     ),
     Claim(
         "omega-wedge-2-3",
-        "wedge",
-        ("omega-2-3", 2),
+        partial(_exec_wedge, "omega-2-3", 2),
         "with 3 extra rows the 2-row complex is a homology wedge of 1-spheres",
     ),
     Claim(
         "omega-wedge-3-3",
-        "wedge",
-        ("omega-3-3", 3),
+        partial(_exec_wedge, "omega-3-3", 3),
         "with 3 extra rows the 3-row complex is a homology wedge of 2-spheres",
     ),
     Claim(
         "omega-wedge-3-4",
-        "wedge",
-        ("omega-3-4", 3),
+        partial(_exec_wedge, "omega-3-4", 3),
         "with 4 extra rows the 3-row complex is a homology wedge of 2-spheres",
     ),
     Claim(
         "omega-wedge-4-4",
-        "wedge",
-        ("omega-4-4", 4),
+        partial(_exec_wedge, "omega-4-4", 4),
         "with 4 extra rows the 4-row complex is a homology wedge of 3-spheres",
     ),
     Claim(
         "omega-nm-conn",
-        "nm_connectivity",
-        (5, 3),
+        partial(_exec_nm_connectivity, 5, 3),
         "the extra-row complexes are mu_nm-connective for n <= 5, m <= 3",
     ),
     Claim(
         "odd-sphere-1-nonbounding",
-        "nonbounding",
-        ("odd-sphere-1", ("omega-3-1", "delta-z-3-1"), 0),
+        partial(
+            _exec_nonbounding, "odd-sphere-1", ("omega-3-1", "delta-z-3-1"), 0
+        ),
         "the embedded circle survives in the cycle-free complex on 3 rows "
         "plus one extra, and even in the full chessboard complex there",
     ),
     Claim(
         "odd-sphere-2-nonbounding",
-        "nonbounding",
-        ("odd-sphere-2", ("omega-6-1",), 0),
+        partial(_exec_nonbounding, "odd-sphere-2", ("omega-6-1",), 0),
         "the embedded 3-sphere survives in the cycle-free complex on "
         "6 rows plus one extra",
     ),
     Claim(
         "omega3-H1",
-        "homology_at",
-        ("omega-3", (1,), {1: AbelianGroup(2)}),
+        partial(_exec_homology_at, "omega-3", (1,), {1: AbelianGroup(2)}),
         "H_1 of the cycle-free complex on 3 rows is Z^2",
     ),
     Claim(
         "link-reduced-spec",
-        "link_reduced",
-        (
+        partial(
+            _exec_link_reduced,
             (
                 (2, 0),
                 (3, 0),
@@ -688,71 +653,61 @@ CLAIMS: tuple[Claim, ...] = (
     ),
     Claim(
         "theta5-decomposition",
-        "theta_decomposition",
-        (5,),
+        partial(_exec_theta_decomposition, 5),
         "the column-1/row-1 decomposition of the 5-row complex: union, "
         "intersection, middle vanishing, and the relative direct sum",
     ),
     Claim(
         "theta6-decomposition",
-        "theta_decomposition",
-        (6,),
+        partial(_exec_theta_decomposition, 6),
         "the column-1/row-1 decomposition of the 6-row complex",
     ),
     Claim(
         "filtration-quotients",
-        "filtration_quotients",
-        ((4, 5), (1, 2)),
+        partial(_exec_filtration_quotients, (4, 5), (1, 2)),
         "consecutive filtration quotients split as direct sums indexed by "
         "disjoint cycle families, for n = 4, 5 and p = 1, 2, both with and "
         "without loops",
     ),
     Claim(
         "sym-shift",
-        "sym_shift",
-        (5,),
+        partial(_exec_sym_shift, 5),
         "the suspension identity: sym(p) shifts the (p+1)-row homology up "
         "one degree, p <= 5",
     ),
     Claim(
         "sym-conn",
-        "sym_connectivity",
-        (6,),
+        partial(_exec_sym_connectivity, 6),
         "sym(p) is gamma_p-connective for p <= 6",
     ),
     Claim(
         "snf-oracle",
-        "snf_oracle",
-        (2000,),
+        partial(_exec_snf_oracle, 2000),
         "optimized sparse Smith forms equal the dense textbook oracle on "
         "every suite complex with at most 2000 faces",
     ),
     Claim(
         "omega8-H4",
-        "nonzero_mod_p",
-        ("omega-8", 4, 3),
+        partial(_exec_nonzero_mod_p, "omega-8", 4, 3),
         "H_4 of the cycle-free complex on 8 rows is nonzero (F_3 Betti)",
         True,
     ),
     Claim(
         "tight-sphere-2-nonbounding-mod3",
-        "nonbounding",
-        ("tight-sphere-2", ("delta-8x8",), 3),
+        partial(_exec_nonbounding, "tight-sphere-2", ("delta-8x8",), 3),
         "the tight 4-sphere is nonbounding mod 3 in the 8x8 chessboard "
         "complex",
         True,
     ),
     Claim(
         "probe-conjecture-n6",
-        "nonzero",
-        ("omega-6", mu_n(6) + 1),
+        partial(_exec_nonzero, "omega-6", mu_n(6) + 1),
         "conjecture probe: homology one degree past the bound is nonzero "
         "on 6 rows",
     ),
     Claim(
         "probe-conjecture-n7",
-        "nonzero",
-        ("omega-7", mu_n(7) + 1),
+        partial(_exec_nonzero, "omega-7", mu_n(7) + 1),
         "conjecture probe: homology one degree past the bound is nonzero "
         "on 7 rows",
     ),
@@ -790,7 +745,7 @@ def run_claims(
             )
             continue
         start = time.perf_counter()
-        ok, expected, computed = _EXECUTORS[claim.kind](*claim.args)
+        ok, expected, computed = claim.check()
         ms = int((time.perf_counter() - start) * 1000)
         reports.append(
             ClaimReport(claim.id, "pass" if ok else "fail", expected, computed, ms)

@@ -60,9 +60,7 @@ class TestBoardSpec:
     def test_make_spec_shape(self):
         s = make_spec(3, 2, 1)
         assert s.x_rows == {1, 2, 3}
-        assert s.z_rows == {-1, -2}
         assert s.y_cols == {1, 2, 3}
-        assert s.t_cols == {4}
         assert len(s.board) == 5 * 4
         assert s.loop_squares() == {Square(i, i) for i in (1, 2, 3)}
 

@@ -307,9 +307,6 @@ class TestMulticycles:
         mc = Multicycle([(1,), (2, 3)])
         assert mc.type == (1, 2)
         assert mc.length == 3
-        assert mc.config() == frozenset(
-            {Square(1, 1), Square(2, 3), Square(3, 2)}
-        )
 
 
 class TestSym:

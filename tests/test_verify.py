@@ -1,4 +1,6 @@
-"""Connectivity bound helpers and the claim runner."""
+"""Connectivity bound helpers, the claim executors and the claim runner."""
+
+import inspect
 
 import pytest
 
@@ -10,6 +12,11 @@ from cyclefree import (
     mu_nm,
     nu_n,
     run_claims,
+)
+from cyclefree.verify import (
+    _exec_connectivity,
+    _exec_nonzero_mod_p,
+    _exec_snf_oracle,
 )
 
 
@@ -37,6 +44,10 @@ class TestCatalog:
 
     def test_every_claim_has_a_statement(self):
         assert all(c.statement for c in CLAIMS)
+
+    def test_every_check_takes_no_arguments(self):
+        for c in CLAIMS:
+            inspect.signature(c.check).bind()
 
     def test_caveats_are_recorded(self):
         assert len(NOT_AT_DESK_SCALE) == 3
@@ -75,4 +86,34 @@ class TestRunner:
             b.expected,
             b.computed,
             b.status,
+        )
+
+
+class TestExecutors:
+    @pytest.mark.parametrize("bound", [-1, 0])
+    def test_connectivity_fails_without_a_vertex(self, bound):
+        # omega-0 is {empty face}: nonvoid, but H~_{-1} = Z
+        ok, _, computed = _exec_connectivity("omega-0", bound)
+        assert not ok
+        assert computed == "complex has no vertex"
+
+    def test_connectivity_at_minus_one_with_a_vertex(self):
+        assert _exec_connectivity("omega-2", -1) == (
+            True,
+            "H~_i = 0 for i <= -1",
+            "complex nonempty",
+        )
+
+    def test_nonzero_mod_p(self):
+        ok, expected, computed = _exec_nonzero_mod_p("omega-5", 2, 3)
+        assert ok
+        assert expected == "dim over F_3 of H_2 > 0"
+        assert computed == "dim over F_3 of H_2 = 43"
+
+    def test_snf_oracle_skips_complexes_over_the_face_limit(self):
+        ok, _, computed = _exec_snf_oracle(600)
+        assert ok
+        assert computed == (
+            "71 matrices agree across 22 complexes "
+            "(3 suite complexes over the face limit)"
         )
