@@ -40,6 +40,8 @@ __all__ = [
 def full_board(n: int, m: int | None = None) -> frozenset[Square]:
     """The product board with rows 1..n and columns 1..m (m defaults to n)."""
     m = n if m is None else m
+    if n < 0 or m < 0:
+        raise ValueError("n, m must be nonnegative")
     return as_config((r, c) for r in range(1, n + 1) for c in range(1, m + 1))
 
 

@@ -21,6 +21,7 @@ write.
 from __future__ import annotations
 
 import io
+from numbers import Integral
 from typing import Optional
 
 from .boards import BoardSpec, Square, _arcs, _cycles, is_nontaking
@@ -98,8 +99,13 @@ def format_complex(complex_: SimplicialComplex, spec: Optional[BoardSpec] = None
     if complex_.is_void:
         raise ValueError("the void complex has no facet-file representation")
     for v in complex_.vertices:
-        if not (isinstance(v, tuple) and len(v) == 2):
-            raise ValueError(f"vertex {v!r} is not a square")
+        # labels are written with str() and read back with int()
+        if not (
+            isinstance(v, tuple)
+            and len(v) == 2
+            and all(isinstance(x, Integral) and not isinstance(x, bool) for x in v)
+        ):
+            raise ValueError(f"vertex {v!r} is not a square of integer labels")
     out = io.StringIO()
     if spec is not None:
         x = ",".join(str(r) for r in sorted(spec.x_rows))

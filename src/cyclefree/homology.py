@@ -124,7 +124,8 @@ TRIVIAL_GROUP = AbelianGroup(0)  # no orders, so no call to _smith, defined belo
 class Chain:
     """An integer chain: finitely many oriented simplices with coefficients.
 
-    Simplices are sorted vertex tuples of one common dimension.
+    Simplices are sorted vertex tuples, with no vertex repeated, of one
+    common dimension.
     """
 
     __slots__ = ("degree", "_coeffs")
@@ -133,8 +134,8 @@ class Chain:
         clean: dict[tuple, int] = {}
         for face, c in coeffs.items():
             face = tuple(face)
-            if tuple(sorted(face)) != face:
-                raise ValueError(f"simplex not sorted: {face}")
+            if tuple(sorted(set(face))) != face:
+                raise ValueError(f"simplex not sorted or with a repeated vertex: {face}")
             if c:
                 clean[face] = int(c)
         sizes = {len(f) for f in clean}
@@ -311,18 +312,20 @@ def _sparse_eliminate(
     """Sparse row elimination over Z (``p == 0``) or over F_p (``p`` prime).
 
     Returns ``(pivot_cols, leftover)``.  ``pivot_cols`` lists the column
-    of each pivot in pivot order.  Once a column is pivoted on, every
-    other row is cleared in it, so the pivot rows (as they stood when
-    chosen) restricted to the pivot columns form a triangular matrix with
-    unit diagonal; :func:`_reduce` relies on that to clear the next
-    boundary map up, and :class:`Presentation` solves with them: a
-    ``pivot_rows`` list, if given, receives them as dicts, in pivot
-    order.  ``leftover`` maps each other nonzero row to its entries as
-    they end, all zero on the pivot columns.  Over F_p every
-    nonzero entry can be a pivot, so nothing is left over.  Over Z only
-    +-1 entries are pivots, a row with none is deferred, and the row
-    operations are unimodular: the invariant factors of the input are
-    the pivots' 1s followed by those of the leftover block.
+    of each pivot in pivot order.  A pivot row carries a unit on its
+    pivot column: +-1 over Z, any nonzero entry mod p.  Once a column is
+    pivoted on, every other row is cleared in it, so the pivot rows (as
+    they stood when chosen) restricted to the pivot columns form a
+    triangular matrix with a unit diagonal; :func:`_reduce` relies on
+    that to clear the next boundary map up, and :class:`Presentation`
+    solves with them: a ``pivot_rows`` list, if given, receives them as
+    dicts, in pivot order.  ``leftover`` maps each other nonzero row to
+    its entries as they end, all zero on the pivot columns.  Over F_p
+    every nonzero entry can be a pivot, so nothing is left over.  Over Z
+    only +-1 entries are pivots, a row with none waits until an update
+    changes it, and the row operations are unimodular: the invariant
+    factors of the input are the pivots' 1s followed by those of the
+    leftover block.
 
     Column ``keep``, if given, is reduced like any other but never holds
     a pivot; a row left with entries in it alone is in ``leftover``.
@@ -342,59 +345,38 @@ def _sparse_eliminate(
             colocc[j] = set(col)
     heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
-    deferred: set[int] = set()
     pivot_cols: list[int] = []
     while heap:
         nnz, i = heapq.heappop(heap)
         row = rows.get(i)
-        if not row:
-            rows.pop(i, None)
+        if row is None:
             continue
         if len(row) != nnz:
             heapq.heappush(heap, (len(row), i))
-            continue
-        if i in deferred:
             continue
         if p:
             candidates = row if keep is None else [j for j in row if j != keep]
         else:
             candidates = [j for j, v in row.items() if (v == 1 or v == -1) and j != keep]
         if not candidates:
-            deferred.add(i)
-            continue
+            continue  # pushed again if an update changes it
         c = min(candidates, key=lambda j: len(colocc[j]))
-        v = row[c]
-        if p and v != 1:
-            inv = pow(v, -1, p)
-            for j in list(row):
-                row[j] = row[j] * inv % p
-        targets = colocc[c] - {i}
-        for t in targets:
+        inv = pow(row[c], -1, p) if p else row[c]  # +-1 is its own inverse
+        for t in colocc[c] - {i}:
             trow = rows[t]
-            w = trow[c]
-            if p:
-                for j, rv in row.items():
-                    nv = (trow.get(j, 0) - w * rv) % p
-                    if nv:
-                        if j not in trow:
-                            colocc[j].add(t)
-                        trow[j] = nv
-                    elif j in trow:
-                        del trow[j]
-                        colocc[j].discard(t)
-            else:
-                f = w * v  # v in {1,-1}: w / v
-                for j, rv in row.items():
-                    nv = trow.get(j, 0) - f * rv
-                    if nv:
-                        if j not in trow:
-                            colocc[j].add(t)
-                        trow[j] = nv
-                    elif j in trow:
-                        del trow[j]
-                        colocc[j].discard(t)
+            f = trow[c] * inv
+            for j, rv in row.items():
+                nv = trow.get(j, 0) - f * rv
+                if p:
+                    nv %= p
+                if nv:
+                    if j not in trow:
+                        colocc[j].add(t)
+                    trow[j] = nv
+                elif j in trow:
+                    del trow[j]
+                    colocc[j].discard(t)
             if trow:
-                deferred.discard(t)
                 heapq.heappush(heap, (len(trow), t))
             else:
                 # each entry left colocc as it was zeroed above
@@ -409,7 +391,7 @@ def _sparse_eliminate(
         pivot_cols.append(c)
         if pivot_rows is not None:
             pivot_rows.append(row)  # retired: no later step writes to it
-    return pivot_cols, {i: row for i, row in rows.items() if row}
+    return pivot_cols, rows
 
 
 class _Rank(int):
@@ -488,16 +470,17 @@ def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
     one row elimination turns [A | z] into U [A | z] with U unimodular
     (invertible mod p), and z = A y iff U z = U A y.  Let C be the pivot
     columns and D the other columns of A.  The pivot rows are, on C, a
-    triangular matrix T with unit diagonal; the leftover rows are zero on
-    C and hold a block M on D and the remainder r of U z; every other
-    row is zero.  Whatever y_D is, T y_C matches U z on the pivot rows
-    for one integral (F_p) y_C, so z is in the span iff M y_D = r has a
-    solution.  Mod p, a leftover row has no entry outside the z column
-    (any would have been a pivot), so z is in the span iff no row is
-    left over.  Over Z, r must lie in the lattice of M.  That lattice is
-    contained in the one of M and r, with the same invariant factors iff
-    the two are equal: otherwise the rank grows, or the cokernel's
-    torsion order drops by the index of the smaller lattice.
+    triangular matrix T whose diagonal holds units (+-1 over Z, nonzero
+    entries mod p); the leftover rows are zero on C and hold a block M
+    on D and the remainder r of U z; every other row is zero.  Whatever
+    y_D is, T y_C matches U z on the pivot rows for one integral (F_p)
+    y_C, so z is in the span iff M y_D = r has a solution.  Mod p, a
+    leftover row has no entry outside the z column (any would have been
+    a pivot), so z is in the span iff no row is left over.  Over Z, r
+    must lie in the lattice of M.  That lattice is contained in the one
+    of M and r, with the same invariant factors iff the two are equal:
+    otherwise the rank grows, or the cokernel's torsion order drops by
+    the index of the smaller lattice.
     """
     j = matrix.ncols
     cols = {**matrix.cols, j: {i: v for i, v in col.items() if v}}
@@ -714,14 +697,14 @@ def _reduce(
     Vejdemo-Johansson).  This is exact.  Let P be the pivot rows of
     d_{k-1}, as they stood when chosen: each is a combination of rows of
     d_{k-1}, integral over Z, so P d_k = 0, since d_{k-1} d_k = 0.
-    Restricted to the pivot columns C, P is triangular with a +-1
-    diagonal (a unit diagonal mod p), hence invertible over Z (over
-    F_p).  Splitting P d_k = 0 along C and the other columns N gives
-    d_k[C] = -P[:, C]^-1 P[:, N] d_k[N], so every dropped row is an
-    integer (F_p-) combination of the kept ones.  Row operations turn
-    d_k into d_k[N] above zero rows, so its Smith form (rank) is
-    unchanged.  A map is computed only when ``degrees`` need it, never
-    just to clear the one above.
+    Restricted to the pivot columns C, P is triangular, and each pivot
+    row carries a unit on its pivot column (+-1 over Z, nonzero mod p),
+    hence P[:, C] is invertible over Z (over F_p).  Splitting P d_k = 0
+    along C and the other columns N gives d_k[C] = -P[:, C]^-1 P[:, N]
+    d_k[N], so every dropped row is an integer (F_p-) combination of the
+    kept ones.  Row operations turn d_k into d_k[N] above zero rows, so
+    its Smith form (rank) is unchanged.  A map is computed only when
+    ``degrees`` need it, never just to clear the one above.
     """
     bases: dict[int, tuple] = {}
 
@@ -891,8 +874,9 @@ def is_boundary(
     with z_N as one more column (see :func:`_in_span`).  That is exact.
     Let P be the pivot rows of d_k as they stood when chosen, so
     P = W d_k for an integral (F_p) W, and C their pivot columns.  A
-    k-cycle x has P x = W d_k x = 0, and P[:, C] is triangular with unit
-    diagonal, so x_C is fixed by x_N: dropping C is injective on cycles.
+    k-cycle x has P x = W d_k x = 0, and P[:, C] is triangular with a
+    unit on each pivot column (+-1 over Z, nonzero mod p), so x_C is
+    fixed by x_N: dropping C is injective on cycles.
     If z_N = d_{k+1}[N] y, then z - d_{k+1} y is a cycle that vanishes
     on N, hence zero.  So z bounds iff z_N lies in the column lattice
     (space) of d_{k+1}[N].
@@ -922,15 +906,16 @@ class Presentation:
     :func:`_sparse_eliminate`), and the dense :func:`_smith` sees only
     their leftover blocks; no n_k x n_k transform is formed.
 
-    *Cycles.*  Reducing the rows of d_k leaves pivot rows P, unit upper
-    triangular on their pivot columns C, and leftover rows L, zero on C;
-    the other rows are zero, so x is a cycle iff P x = 0 and L x = 0.
-    Given x on the other k-faces D, P x = 0 fixes x_C integrally, by
-    back-substitution in reverse pivot order.  So a cycle is fixed by
-    x_D, and any x_D with L x_D = 0 extends to one.  Its coordinates are
-    its entries on the faces of D that L leaves untouched, then those of
-    x_E, on the faces E that L touches, in a basis of the kernel of L:
-    the rows of the left transform of L^T past its rank.
+    *Cycles.*  Reducing the rows of d_k leaves pivot rows P, triangular
+    with a +-1 diagonal on their pivot columns C, and leftover rows L,
+    zero on C; the other rows are zero, so x is a cycle iff P x = 0 and
+    L x = 0.  Given x on the other k-faces D, P x = 0 fixes x_C
+    integrally, by back-substitution in reverse pivot order.  So a cycle
+    is fixed by x_D, and any x_D with L x_D = 0 extends to one.  Its
+    coordinates are its entries on the faces of D that L leaves
+    untouched, then those of x_E, on the faces E that L touches, in a
+    basis of the kernel of L: the rows of the left transform of L^T past
+    its rank.
 
     *Classes.*  The (k+1)-face boundaries, in cycle coordinates, are the
     rows of the second elimination, with pivot rows Q on columns C2 and

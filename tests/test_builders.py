@@ -51,6 +51,13 @@ def free(rank):
     return AbelianGroup(rank)
 
 
+class TestFullBoard:
+    @pytest.mark.parametrize("n, m", [(-2, None), (3, -1), (-1, 0)])
+    def test_negative_sizes_rejected(self, n, m):
+        with pytest.raises(ValueError, match="nonnegative"):
+            full_board(n, m)
+
+
 class TestDelta:
     def test_two_by_two(self):
         c = delta(full_board(2))

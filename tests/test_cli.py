@@ -70,6 +70,15 @@ class TestBuild:
             main(["build", "--family", "sym", "--n", "0", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sizes", [("--n", "-2"), ("--n", "3", "--m", "-1")])
+    def test_negative_delta_board_is_a_usage_error(self, tmp_path, capsys, sizes):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--family", "delta", *sizes, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReaders:
     @pytest.fixture()

@@ -1,5 +1,6 @@
 """Facet-file round trips and parse errors."""
 
+import numpy as np
 import pytest
 
 from cyclefree import (
@@ -66,6 +67,22 @@ def test_non_square_vertices_rejected():
     c = SimplicialComplex.from_facets([["a", "b"]])
     with pytest.raises(ValueError, match="square"):
         format_complex(c)
+
+
+@pytest.mark.parametrize("square", [("a", "b"), (1.5, 2), (True, 2)])
+def test_non_integer_labels_rejected_on_write(square):
+    # each would be written, then rejected by read_complex as a bad token
+    c = SimplicialComplex.from_facets([[square]])
+    with pytest.raises(ValueError, match="not a square"):
+        format_complex(c)
+
+
+def test_numpy_integer_labels_roundtrip(tmp_path):
+    c = SimplicialComplex.from_facets([[(np.int64(1), np.int64(2)), (np.int32(2), 3)]])
+    path = tmp_path / "np.facets"
+    write_complex(path, c)
+    back, _ = read_complex(path)
+    assert back.has_face(((1, 2), (2, 3)))
 
 
 def test_bad_square_token(tmp_path):

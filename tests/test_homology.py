@@ -107,6 +107,12 @@ class TestChain:
         with pytest.raises(ValueError, match="sorted"):
             Chain({("b", "a"): 1})
 
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            Chain({(1, 1): 1})
+        with pytest.raises(ValueError, match="repeated"):
+            Chain.from_simplex([3, 3])
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
             Chain({("a",): 1, ("a", "b"): 1})

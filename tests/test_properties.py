@@ -2,6 +2,7 @@
 
 Each property here is a statement the library relies on everywhere:
 boundaries square to zero, the two Smith normal form routes agree,
+the sparse elimination leaves unit pivot rows and a clean leftover,
 joins multiply f-polynomials, links of cycle-free complexes are again
 cycle-free complexes on the reduced spec.  Hypothesis shrinks any
 counterexample to a small one, so a failure prints a usable repro.
@@ -12,7 +13,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclefree import (
     AbelianGroup,
@@ -32,7 +33,7 @@ from cyclefree import (
     snf,
     suspension,
 )
-from cyclefree.homology import SparseIntMatrix, _smith
+from cyclefree.homology import SparseIntMatrix, _smith, _sparse_eliminate
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -147,6 +148,45 @@ def test_smith_transforms_diagonalise(pair):
     assert all(f > 0 for f in factors)
     assert all(g % f == 0 for f, g in zip(factors, factors[1:]))
     assert (a == np.array(dense, dtype=object)).all()  # input left as it was
+
+
+@SETTINGS
+@given(
+    st.one_of(matrices(), matrices(entries=NO_UNITS)),
+    st.sampled_from([0, 2, 3, 5]),
+    st.booleans(),
+)
+# row 0 has no unit until row 1's pivot turns it into (0, 1); it must be
+# taken up again then
+@example(
+    ([[2, 3], [1, 1]], SparseIntMatrix(2, 2, {0: {0: 2, 1: 1}, 1: {0: 3, 1: 1}})), 0, False
+)
+def test_sparse_elimination_contract(pair, p, keep_last):
+    """What clearing in ``_reduce`` and ``Presentation`` rely on."""
+    dense, sparse = pair
+    keep = sparse.ncols - 1 if keep_last else None
+    rows: list = []
+    pivots, leftover = _sparse_eliminate(sparse, p, keep=keep, pivot_rows=rows)
+    assert len(rows) == len(pivots) == len(set(pivots))
+    assert keep not in pivots
+    for s, (c, row) in enumerate(zip(pivots, rows)):
+        # a unit on the pivot column, nothing on the earlier pivot columns
+        assert 0 < row[c] < p if p else row[c] in (1, -1)
+        assert not set(row) & set(pivots[:s])
+    for row in leftover.values():
+        assert row and not set(row) & set(pivots)
+        rest = [v for j, v in row.items() if j != keep]
+        if p:
+            assert not rest
+        else:
+            assert all(abs(v) >= 2 for v in rest)
+    if p and keep is None:
+        assert not leftover
+    if not p:
+        # unimodular row operations keep the Smith form
+        stacked = [[row.get(j, 0) for j in range(sparse.ncols)] for row in rows]
+        stacked += [[row.get(j, 0) for j in range(sparse.ncols)] for row in leftover.values()]
+        assert dense_snf(stacked) == dense_snf(dense)
 
 
 @SETTINGS
