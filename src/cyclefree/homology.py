@@ -32,10 +32,11 @@ pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
 :func:`is_boundary` share one core, :func:`_reduce`.  It reduces the
 maps d_k that a query needs, as :func:`boundary_matrix` builds them,
 from the lowest degree up and uses them for *clearing*: a k-face that
-was a pivot column of d_k is left out of the rows of d_{k+1}, which
-keeps the row lattice of d_{k+1} and so its Smith form (see
-:func:`_reduce` for the argument).  :func:`is_boundary` reduces that
-same cleared map, with the cycle it tests as one more column.
+was a pivot column of d_k is a skipped row of d_{k+1} (rows and columns
+are positions in the face order), which keeps the row lattice of d_{k+1}
+and so its Smith form (see :func:`_reduce` for the argument).
+:func:`is_boundary` reduces that same cleared map, with the cycle it
+tests as one more column.
 
 Membership of a vector in the column lattice (or F_p-span) of a matrix
 takes one elimination and no transform bookkeeping: the vector goes in
@@ -45,8 +46,8 @@ as one more column that never holds a pivot (see :func:`_in_span`).
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -70,10 +71,11 @@ class AbelianGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int = 0, torsion: Iterable[int] = ()):
+        rank = operator.index(rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "rank", int(rank))
-        orders = [abs(int(t)) for t in torsion]
+        object.__setattr__(self, "rank", rank)
+        orders = [abs(operator.index(t)) for t in torsion]
         chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
         object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
 
@@ -136,8 +138,9 @@ class Chain:
             face = tuple(face)
             if tuple(sorted(set(face))) != face:
                 raise ValueError(f"simplex not sorted or with a repeated vertex: {face}")
+            c = operator.index(c)
             if c:
-                clean[face] = int(c)
+                clean[face] = c
         sizes = {len(f) for f in clean}
         if len(sizes) > 1:
             raise ValueError(f"mixed simplex dimensions: {sorted(sizes)}")
@@ -149,6 +152,13 @@ class Chain:
             raise ValueError("degree disagrees with simplex size")
         self.degree = degree
         self._coeffs = clean
+
+    @classmethod
+    def _of(cls, coeffs: dict[tuple, int], degree: int) -> "Chain":
+        """A chain on faces valid by construction: only zeros are dropped."""
+        chain = object.__new__(cls)
+        chain.degree, chain._coeffs = degree, {f: c for f, c in coeffs.items() if c}
+        return chain
 
     @classmethod
     def from_simplex(cls, face: Iterable, coeff: int = 1) -> "Chain":
@@ -177,16 +187,17 @@ class Chain:
         out = dict(self._coeffs)
         for f, c in other._coeffs.items():
             out[f] = out.get(f, 0) + c
-        return Chain(out, degree=self.degree)
+        return Chain._of(out, self.degree)
 
     def __neg__(self) -> "Chain":
-        return Chain({f: -c for f, c in self._coeffs.items()}, degree=self.degree)
+        return Chain._of({f: -c for f, c in self._coeffs.items()}, self.degree)
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
     def scale(self, k: int) -> "Chain":
-        return Chain({f: k * c for f, c in self._coeffs.items()}, degree=self.degree)
+        k = operator.index(k)
+        return Chain._of({f: k * c for f, c in self._coeffs.items()}, self.degree)
 
     def boundary(self) -> "Chain":
         """Reduced simplicial boundary; vertices map to the empty face."""
@@ -195,7 +206,7 @@ class Chain:
             for i in range(len(face)):
                 sub = face[:i] + face[i + 1:]
                 out[sub] = out.get(sub, 0) + (-1) ** i * c
-        return Chain(out, degree=self.degree - 1)
+        return Chain._of(out, self.degree - 1)
 
     def __eq__(self, other):
         return (
@@ -246,33 +257,29 @@ class SparseIntMatrix:
 def boundary_matrix(
     complex_: SimplicialComplex,
     k: int,
-    rows: Optional[Sequence[tuple]] = None,
-    cols: Optional[Sequence[tuple]] = None,
+    skip_rows: frozenset[int] = frozenset(),
+    skip_cols: frozenset[int] = frozenset(),
 ) -> SparseIntMatrix:
     """The degree-k boundary matrix, (k-1)-faces by k-faces.
 
-    ``rows``/``cols`` override the face lists (used for relative
-    chains); entries whose target face is missing from ``rows`` are
-    dropped.
+    Rows and columns are positions in ``faces(k - 1)`` and ``faces(k)``.
+    Those in ``skip_rows`` and ``skip_cols`` get no entries (clearing,
+    relative chains); the others keep theirs, in a shape n_{k-1} x n_k.
     """
-    if cols is None:
-        cols = complex_.faces(k)
-    if rows is None:
-        rows = complex_.faces(k - 1)
-        row_index = complex_.face_index(k - 1) if rows else {}
-    else:
-        row_index = {f: i for i, f in enumerate(rows)}
+    faces = complex_.faces(k)
+    row_index = complex_.face_index(k - 1)
     data: dict[int, dict[int, int]] = {}
-    for j, face in enumerate(cols):
+    for j, face in enumerate(faces):
+        if j in skip_cols:
+            continue
         col: dict[int, int] = {}
         for i in range(len(face)):
-            sub = face[:i] + face[i + 1:]
-            r = row_index.get(sub)
-            if r is not None:
+            r = row_index[face[:i] + face[i + 1:]]
+            if r not in skip_rows:
                 col[r] = (-1) ** i
         if col:
             data[j] = col
-    return SparseIntMatrix(len(rows), len(cols), data)
+    return SparseIntMatrix(len(row_index), len(faces), data)
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +666,9 @@ def _degree_list(complex_: SimplicialComplex, degrees, reduced: bool) -> list[in
     if degrees is None:
         lo = -1 if reduced else 0
         return list(range(lo, max(complex_.dim, lo) + 1))
-    if isinstance(degrees, int):
-        return [degrees]
-    return sorted(set(int(d) for d in degrees))
+    if isinstance(degrees, Iterable):
+        return sorted(set(operator.index(d) for d in degrees))
+    return [operator.index(degrees)]
 
 
 class _Map(NamedTuple):
@@ -676,22 +683,22 @@ def _reduce(
     complex_: SimplicialComplex,
     degrees: Sequence[int],
     field: Union[None, int],
-    reduced: bool = True,
     sub: Optional[SimplicialComplex] = None,
 ) -> tuple[dict[int, AbelianGroup], dict[int, _Map]]:
     """Homology groups in ``degrees``, and the boundary maps reduced for them.
 
     ``field`` is None for integer groups (Smith forms: rank and torsion),
     0 for ranks over Q and a prime p for ranks over F_p (torsion is then
-    empty).  Chains are those of the complex, augmented when
-    ``reduced``, or those of the pair (complex, sub), never augmented:
-    a pair's basis is the ambient faces minus the subcomplex faces.
-    H_k has rank n_k - r_k - r_{k+1} and the torsion of d_{k+1}.  The
-    maps are returned by degree; ``pivot_cols`` index the k-faces.
+    empty).  Chains are those of the augmented complex, or those of the
+    pair (complex, sub), never augmented: the pair leaves out the faces
+    of ``sub`` and those below degree 0, so a void ``sub`` or the complex
+    {empty face} gives unreduced homology.  H_k has rank n_k - r_k -
+    r_{k+1}, n_k counting the chains, and the torsion of d_{k+1}.  The
+    maps are returned by degree; ``pivot_cols`` are positions in faces(k).
 
     Each map d_k is reduced by rows, so its pivots are k-faces.  The
-    maps go from the lowest degree up, and d_k is built only on the
-    (k-1)-faces that were not pivot columns of d_{k-1} in this call
+    maps go from the lowest degree up, and d_k skips as rows the
+    (k-1)-faces that were pivot columns of d_{k-1} in this call
     (*clearing*, after Chen and Kerber; eliminating rows of d_k is
     reducing the coboundary, as in de Silva, Morozov and
     Vejdemo-Johansson).  This is exact.  Let P be the pivot rows of
@@ -706,31 +713,21 @@ def _reduce(
     its Smith form (rank) is unchanged.  A map is computed only when
     ``degrees`` need it, never just to clear the one above.
     """
-    bases: dict[int, tuple] = {}
-
-    def basis(k: int) -> tuple:
-        if k not in bases:
-            if sub is None:
-                bases[k] = complex_.faces(k) if reduced or k >= 0 else ()
-            elif k < 0:
-                bases[k] = ()
-            else:
-                inside = set(sub.faces(k))
-                bases[k] = tuple(f for f in complex_.faces(k) if f not in inside)
-        return bases[k]
-
+    needed = sorted({d for k in degrees for d in (k, k + 1)})
+    outside: dict[int, frozenset[int]] = {}  # positions in faces(k) that are not chains
+    for k in {d - e for d in needed for e in (0, 1)}:
+        gone = () if sub is None else complex_.faces(k) if k < 0 else sub.faces(k)
+        outside[k] = frozenset(complex_.face_index(k)[f] for f in gone)
+    n = {k: len(complex_.faces(k)) - len(out) for k, out in outside.items()}
     maps: dict[int, _Map] = {}
     cleared: frozenset[int] = frozenset()  # (k-1)-faces, pivot columns of d_{k-1}
-    for k in sorted({d for k in degrees for d in (k, k + 1)}):
+    for k in needed:
         if k - 1 not in maps:
             cleared = frozenset()
-        cols, rows = basis(k), basis(k - 1)
-        if cleared:
-            rows = tuple(f for i, f in enumerate(rows) if i not in cleared)
-        if not cols or not rows:
+        if not n[k] or n[k - 1] == len(cleared):
             maps[k] = _Map(0, (), frozenset())
         else:
-            mat = boundary_matrix(complex_, k, rows=rows, cols=cols)
+            mat = boundary_matrix(complex_, k, outside[k - 1] | cleared, outside[k])
             if field is None:
                 result = snf(mat)
                 torsion = tuple(f for f in result if f > 1)
@@ -740,7 +737,7 @@ def _reduce(
                 maps[k] = _Map(int(result), (), frozenset(result.pivot_cols))
         cleared = maps[k].pivot_cols
     groups = {
-        k: AbelianGroup(len(basis(k)) - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
+        k: AbelianGroup(n[k] - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
         for k in degrees
     }
     return groups, maps
@@ -767,7 +764,8 @@ def homology(
     if complex_.is_void:
         return HomologyResult({})
     degs = _degree_list(complex_, degrees, reduced)
-    return HomologyResult(_reduce(complex_, degs, coefficients, reduced)[0])
+    sub = None if reduced else SimplicialComplex.from_facets([[]])  # unaugmented chains
+    return HomologyResult(_reduce(complex_, degs, coefficients, sub)[0])
 
 
 def betti_numbers(
@@ -786,7 +784,8 @@ def betti_numbers(
         _check_prime(p)
     lo = -1 if reduced else 0
     hi = complex_.dim if through is None else min(through, complex_.dim)
-    groups, _ = _reduce(complex_, range(lo, hi + 1), p, reduced)
+    sub = None if reduced else SimplicialComplex.from_facets([[]])
+    groups, _ = _reduce(complex_, range(lo, hi + 1), p, sub)
     return {k: g.rank for k, g in groups.items()}
 
 
@@ -821,8 +820,8 @@ def relative_homology(
     """Integer homology of the pair, via the quotient chain complex.
 
     Chains are unaugmented, so ``relative_homology(K, {empty face})``
-    equals unreduced H(K).  The subcomplex must consist of faces of the
-    ambient complex.
+    and ``relative_homology(K, void)`` equal unreduced H(K).  The
+    subcomplex must consist of faces of the ambient complex.
     """
     if not sub.is_subcomplex_of(complex_):
         raise ValueError("second argument is not a subcomplex of the first")
@@ -870,8 +869,9 @@ def is_boundary(
     arithmetic (d_k z = 0, or = 0 mod p), which is checked first.  Then
     d_0, ..., d_k are reduced from the bottom up as in :func:`_reduce`,
     and z is tested on the k-faces N that were not pivot columns of d_k:
-    the cleared map d_{k+1}[N] that :func:`_reduce` would reduce next,
-    with z_N as one more column (see :func:`_in_span`).  That is exact.
+    the cleared map d_{k+1}[N] (the pivots skipped as rows) that
+    :func:`_reduce` would reduce next, with z_N as one more column (see
+    :func:`_in_span`).  That is exact.
     Let P be the pivot rows of d_k as they stood when chosen, so
     P = W d_k for an integral (F_p) W, and C their pivot columns.  A
     k-cycle x has P x = W d_k x = 0, and P[:, C] is triangular with a
@@ -883,16 +883,14 @@ def is_boundary(
     """
     if mod:
         _check_prime(mod)
-    chain_vector(chain, complex_)  # faces outside the complex raise
+    vec = chain_vector(chain, complex_)  # faces outside the complex raise
     if any(c % mod if mod else c for _, c in chain.boundary().items()):
         return False
     k = chain.degree
     _, maps = _reduce(complex_, range(-1, k), mod or None)
     pivots = maps[k].pivot_cols if k in maps else frozenset()
-    rows = [f for i, f in enumerate(complex_.faces(k)) if i not in pivots]
-    row_of = {f: i for i, f in enumerate(rows)}
-    vec = {row_of[f]: c for f, c in chain.items() if f in row_of}
-    return _in_span(boundary_matrix(complex_, k + 1, rows=rows), vec, mod)
+    vec = {i: c for i, c in vec.items() if i not in pivots}
+    return _in_span(boundary_matrix(complex_, k + 1, skip_rows=pivots), vec, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cyclefree import (
     AbelianGroup,
     BoardSpec,
+    HomologyResult,
     SimplicialComplex,
     SparseIntMatrix,
     betti_numbers,
@@ -82,15 +83,25 @@ def uncleared(c, reduce=smith, reduced=True):
 
 
 def relative_uncleared(c, sub):
+    """Relative chains from the full boundary maps: the subcomplex faces
+    and the empty face are removed here, not by ``boundary_matrix``."""
+
     def faces(k):
         inside = set(sub.faces(k))
         return tuple(f for f in c.faces(k) if f not in inside) if k >= 0 else ()
 
-    return per_matrix(
-        faces,
-        lambda k: boundary_matrix(c, k, rows=faces(k - 1), cols=faces(k)),
-        range(0, c.dim + 1),
-    )
+    def boundary(k):
+        # full row position -> row of the pair's map
+        rows = {c.face_index(k - 1)[f]: i for i, f in enumerate(faces(k - 1))}
+        full = boundary_matrix(c, k).cols
+        cols = {}
+        for j, f in enumerate(faces(k)):
+            col = {rows[r]: v for r, v in full.get(c.face_index(k)[f], {}).items() if r in rows}
+            if col:
+                cols[j] = col
+        return SparseIntMatrix(len(rows), len(faces(k)), cols)
+
+    return per_matrix(faces, boundary, range(0, c.dim + 1))
 
 
 @st.composite
@@ -119,6 +130,40 @@ def pairs(draw):
     facets = sorted(sorted(f) for f in c.facets)
     kept = draw(st.lists(st.sampled_from(facets), max_size=len(facets), unique_by=tuple))
     return c, SimplicialComplex.from_facets(kept or [[]])
+
+
+@st.composite
+def skips(draw):
+    """A complex, a degree, and row and column positions to skip in its d_k."""
+    c = draw(complexes(range(7)))
+    k = draw(st.integers(-1, c.dim + 1))
+
+    def positions(n):
+        return st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
+
+    return c, k, draw(positions(len(c.faces(k - 1)))), draw(positions(len(c.faces(k))))
+
+
+@SETTINGS
+@given(skips())
+def test_skipped_rows_and_columns_are_emptied_in_place(case):
+    c, k, skip_rows, skip_cols = case
+    full = boundary_matrix(c, k)
+    mat = boundary_matrix(c, k, skip_rows, skip_cols)
+    assert (mat.nrows, mat.ncols) == (full.nrows, full.ncols)
+    assert mat.to_dense() == [
+        [0 if i in skip_rows or j in skip_cols else v for j, v in enumerate(row)]
+        for i, row in enumerate(full.to_dense())
+    ]
+
+
+@SETTINGS
+@given(st.one_of(complexes(range(7)), relabelled_omegas()))
+def test_relative_homology_to_the_void_complex_is_unreduced(c):
+    void = SimplicialComplex.from_facets([])
+    got = relative_homology(c, void)
+    assert got == homology(c, reduced=False)
+    assert got == HomologyResult(uncleared(c, reduced=False))
 
 
 @SETTINGS
@@ -197,9 +242,7 @@ def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
     pivots = set(snf(transpose(boundary_matrix(c, k + 1))).pivot_cols)
     assert pivots
     full = boundary_matrix(c, k)
-    kept = boundary_matrix(
-        c, k, cols=[f for i, f in enumerate(c.faces(k)) if i not in pivots]
-    )
+    kept = boundary_matrix(c, k, skip_cols=pivots)
     # The kept lattice lies inside the full one, so equal Smith forms
     # mean equal lattices: this covers every cleared column at once.
     assert snf(kept) == snf(full)
@@ -213,9 +256,7 @@ def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
     pivots = set(snf(boundary_matrix(c, k)).pivot_cols)
     assert pivots
     full = transpose(boundary_matrix(c, k + 1))
-    kept = transpose(
-        boundary_matrix(c, k + 1, rows=[f for i, f in enumerate(c.faces(k)) if i not in pivots])
-    )
+    kept = transpose(boundary_matrix(c, k + 1, skip_rows=pivots))
     # As above, with rows and columns swapped: the k-faces that were
     # pivot columns of d_k are the rows of d_{k+1} left out, the columns
     # of its coboundary.

@@ -1,7 +1,8 @@
-"""Every docstring example must execute as written."""
+"""Every docstring example, and the README quick start, must execute as written."""
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +30,9 @@ def test_module_doctests(module):
 def test_examples_exist_somewhere():
     attempted = sum(doctest.testmod(m).attempted for m in MODULES)
     assert attempted > 10
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -9,6 +9,7 @@ frozen output of it.
 import types
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from cyclefree import (
@@ -95,6 +96,13 @@ class TestAbelianGroup:
     def test_hashable(self):
         assert len({AbelianGroup(0, (2, 3)), AbelianGroup(0, (6,))}) == 1
 
+    def test_non_integer_rank_or_order_is_rejected(self):
+        with pytest.raises(TypeError):
+            AbelianGroup(0, [2.5])
+        with pytest.raises(TypeError):
+            AbelianGroup(1.5)
+        assert AbelianGroup(np.int64(1), [np.int64(4)]) == AbelianGroup(1, (4,))
+
 
 class TestChain:
     def test_from_simplex(self):
@@ -145,6 +153,13 @@ class TestChain:
     def test_boundary_squares_to_zero(self):
         c = Chain({("a", "b", "c"): 1, ("b", "c", "d"): -2})
         assert c.boundary().boundary().is_zero
+
+    def test_non_integer_coefficient_is_rejected(self):
+        with pytest.raises(TypeError):
+            Chain({(1, 2): 1.5})
+        with pytest.raises(TypeError):
+            Chain.from_simplex((1, 2)).scale(1.5)
+        assert Chain({(1, 2): np.int64(2)}) == Chain.from_simplex((1, 2), 2)
 
 
 class TestBoundaryMatrix:
@@ -272,6 +287,19 @@ class TestKnownHomology:
     def test_single_degree_request(self):
         res = homology(CIRCLE, degrees=1)
         assert res.group(1) == AbelianGroup(1)
+
+    def test_non_integer_degree_is_rejected(self):
+        with pytest.raises(TypeError):
+            homology(CIRCLE, degrees=[1.5])
+        with pytest.raises(TypeError):
+            homology(CIRCLE, degrees=1.5)
+        for one in ([np.int64(1)], np.int64(1)):
+            assert homology(CIRCLE, degrees=one).groups == {1: AbelianGroup(1)}
+
+    def test_string_of_degrees_is_rejected(self):
+        # iterating "12" gives "1" and "2", which are not degrees
+        with pytest.raises(TypeError):
+            homology(CIRCLE, degrees="12")
 
     def test_empty_face_complex(self):
         # the complex {empty face} carries reduced homology Z in degree -1
