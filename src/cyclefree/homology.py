@@ -305,9 +305,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+def _check_prime(p: int) -> int:
+    """The prime ``p`` as an ``int``; a non-integer raises ``TypeError``."""
+    p = operator.index(p)
     if not _is_prime(p):
         raise ValueError(f"coefficients must be a prime, got {p}")
+    return p
 
 
 def _sparse_eliminate(
@@ -417,7 +420,7 @@ def _with_pivots(value, pivot_cols: list[int]):
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     """Rank over the prime field F_p, with ``pivot_cols`` attached."""
-    _check_prime(p)
+    p = _check_prime(p)
     pivot_cols, _ = _sparse_eliminate(matrix, p)
     return _with_pivots(len(pivot_cols), pivot_cols)
 
@@ -757,10 +760,10 @@ def homology(
     torsion by construction and ``rank`` means F_p-dimension).
     Representative cycles come from :class:`Presentation`.
     """
-    if coefficients == 0:
-        raise ValueError("coefficients must be None or a prime, got 0")
     if coefficients is not None:
-        _check_prime(coefficients)
+        if operator.index(coefficients) == 0:
+            raise ValueError("coefficients must be None or a prime, got 0")
+        coefficients = _check_prime(coefficients)
     if complex_.is_void:
         return HomologyResult({})
     degs = _degree_list(complex_, degrees, reduced)
@@ -780,8 +783,7 @@ def betti_numbers(
     never touched, which keeps low-degree questions cheap on complexes
     whose top boundary matrices are large.
     """
-    if p:
-        _check_prime(p)
+    p = _check_prime(p) if operator.index(p) else 0
     lo = -1 if reduced else 0
     hi = complex_.dim if through is None else min(through, complex_.dim)
     sub = None if reduced else SimplicialComplex.from_facets([[]])
@@ -881,8 +883,7 @@ def is_boundary(
     on N, hence zero.  So z bounds iff z_N lies in the column lattice
     (space) of d_{k+1}[N].
     """
-    if mod:
-        _check_prime(mod)
+    mod = _check_prime(mod) if operator.index(mod) else 0
     vec = chain_vector(chain, complex_)  # faces outside the complex raise
     if any(c % mod if mod else c for _, c in chain.boundary().items()):
         return False

@@ -4,7 +4,9 @@ Every statement the library is meant to certify lives here as a claim:
 an id, the statement, and a ``check`` that recomputes both sides from
 scratch.  ``run_claims`` calls the checks of any subset and reports
 exact matches; nothing in this module tolerates approximation, a claim
-either reproduces its group on the nose or fails.
+either reproduces its group on the nose or fails.  Each executor checks
+one case; a claim over several sizes binds ``_exec_all`` to its cases,
+passes only when every case does, and names each case that fails.
 
 Connectivity bounds quoted by the claims:
 
@@ -170,18 +172,11 @@ def _complex(key: str) -> SimplicialComplex:
             return delta(make_spec(int(parts[2]), int(parts[3])).board)
         r, c = (int(t) for t in parts[1].split("x"))
         return delta(full_board(r, c))
-    if head == "theta":
-        return theta(int(parts[1]))
-    if head == "theta1":
-        return theta1(int(parts[1]))
-    if head == "theta2":
-        return theta2(int(parts[1]))
     if head == "fp":
         return filtration_level(parts[1], int(parts[2]), int(parts[3]))
-    if head == "sym":
-        return sym(int(parts[1]))
-    if head == "dm":
-        return directed_matching(int(parts[1]))
+    by_size = dict(theta=theta, theta1=theta1, theta2=theta2, sym=sym, dm=directed_matching)
+    if head in by_size:
+        return by_size[head](int(parts[1]))
     raise ValueError(f"unknown complex key: {key!r}")
 
 
@@ -197,10 +192,6 @@ def _fmt(groups: Mapping[int, AbelianGroup]) -> str:
     return ", ".join(f"H_{k} = {g}" for k, g in nt.items())
 
 
-def _shift(groups: Mapping[int, AbelianGroup], by: int) -> dict[int, AbelianGroup]:
-    return {k + by: g for k, g in groups.items()}
-
-
 # ---------------------------------------------------------------------------
 # claim executors
 #
@@ -208,13 +199,9 @@ def _shift(groups: Mapping[int, AbelianGroup], by: int) -> dict[int, AbelianGrou
 # rendered the same way, so a report is legible on its own.
 
 
-def _exec_homology_at(key: str, degrees: tuple, expected: dict) -> tuple:
-    res = homology(_complex(key), degrees=list(degrees))
-    got = {k: res.group(k) for k in degrees}
-    want = {k: expected.get(k, AbelianGroup()) for k in degrees}
-    exp_s = ", ".join(f"H_{k} = {want[k]}" for k in sorted(degrees))
-    got_s = ", ".join(f"H_{k} = {got[k]}" for k in sorted(degrees))
-    return got == want, exp_s, got_s
+def _exec_homology_at(key: str, degree: int, want: AbelianGroup) -> tuple:
+    got = homology(_complex(key), degrees=[degree]).group(degree)
+    return got == want, f"H_{degree} = {want}", f"H_{degree} = {got}"
 
 
 def _exec_homology_all(key: str, expected: dict) -> tuple:
@@ -246,24 +233,19 @@ def _exec_connectivity(key: str, bound: int) -> tuple:
         return False, expected, "complex has no vertex"
     if bound <= -1:
         return True, expected, "complex nonempty"
-    res = homology(c, degrees=list(range(0, bound + 1)))
-    low = {k: res.group(k) for k in range(0, bound + 1)}
-    bad = {k: g for k, g in low.items() if not g.is_trivial}
-    return not bad, expected, "all trivial through degree %d" % bound if not bad else _fmt(bad)
+    bad = homology(c, degrees=range(0, bound + 1)).nontrivial()
+    return not bad, expected, _fmt(bad) if bad else f"all trivial through degree {bound}"
 
 
 def _exec_epimorphism(sub_key: str, amb_key: str, degree: int) -> tuple:
     sub, amb = _complex(sub_key), _complex(amb_key)
     m = induced_map(sub, amb, degree)
     coords = m.codomain_presentation.class_of(two_sphere().fundamental)
-    hits_generator = m.codomain == AbelianGroup(0, (3,)) and any(
-        c % 3 for c in coords
-    )
     ok = (
         not m.domain.is_trivial
         and m.codomain == AbelianGroup(0, (3,))
         and m.surjective
-        and hits_generator
+        and any(c % 3 for c in coords)  # the two-sphere class generates
     )
     expected = (
         f"H_{degree} of the cycle-free complex nonzero, mapping onto Z/3 "
@@ -283,66 +265,29 @@ def _exec_wedge(key: str, n: int) -> tuple:
     return ok, expected, _fmt(nt)
 
 
-def _exec_nm_connectivity(n_max: int, m_max: int) -> tuple:
-    bad = []
-    pairs = 0
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            pairs += 1
-            bound = mu_nm(n, m)
-            key = f"omega-{n}-{m}"
-            ok, _, computed = _exec_connectivity(key, bound)
-            if not ok:
-                bad.append(f"(n={n}, m={m}): {computed}")
-    expected = (
-        f"H~_i = 0 for i <= mu_nm(n, m), all n <= {n_max}, 1 <= m <= {m_max}"
-    )
-    if bad:
-        return False, expected, "; ".join(bad)
-    return True, expected, f"all {pairs} pairs connective up to their bound"
-
-
-_EMBEDDINGS: dict[str, Callable[[], object]] = {
-    "odd-sphere-1": lambda: odd_sphere(1),
-    "odd-sphere-2": lambda: odd_sphere(2),
-    "tight-sphere-2": lambda: tight_sphere(2),
-}
-
-
-def _exec_nonbounding(name: str, ambient_keys: tuple, mod: int) -> tuple:
-    z = _EMBEDDINGS[name]().fundamental
+def _exec_nonbounding(name: str, key: str, mod: int) -> tuple:
+    family, k = name.rsplit("-", 1)  # e.g. odd-sphere-1
+    z = {"odd-sphere": odd_sphere, "tight-sphere": tight_sphere}[family](int(k)).fundamental
     tag = f" mod {mod}" if mod else ""
-    results = []
-    ok = True
-    for key in ambient_keys:
-        c = _complex(key)
-        cyc = is_cycle(z, c)
-        bd = is_boundary(z, c, mod=mod)
-        ok = ok and cyc and not bd
-        results.append(f"{key}: cycle={cyc}, bounds{tag}={bd}")
-    expected = (
-        f"fundamental class of {name} is a nonbounding cycle{tag} in "
-        + ", ".join(ambient_keys)
-    )
-    return ok, expected, "; ".join(results)
+    c = _complex(key)
+    cyc = is_cycle(z, c)
+    bd = is_boundary(z, c, mod=mod)
+    expected = f"fundamental class of {name} is a nonbounding cycle{tag} in {key}"
+    return cyc and not bd, expected, f"{key}: cycle={cyc}, bounds{tag}={bd}"
 
 
-def _exec_link_reduced(pairs: tuple) -> tuple:
-    checked = 0
-    bad = []
-    for n, m in pairs:
-        spec = make_spec(n, m)
-        key = f"omega-{n}-{m}" if m else f"omega-{n}"
-        comp = _complex(key)
-        for v in sorted(comp.vertices):
-            if comp.link(v) != omega(reduced_spec(spec, v)):
-                bad.append(f"{key} at {tuple(v)}")
-            checked += 1
+def _exec_link_reduced(key: str) -> tuple:
+    spec = make_spec(*(int(t) for t in key.split("-")[1:]))
+    comp = _complex(key)
+    bad = [
+        str(tuple(v))
+        for v in sorted(comp.vertices)
+        if comp.link(v) != omega(reduced_spec(spec, v))
+    ]
     expected = "every vertex link equals the complex of the reduced spec"
     if bad:
-        return False, expected, "mismatches: " + ", ".join(bad)
-    shapes = ", ".join(f"({n},{m})" for n, m in pairs)
-    return True, expected, f"{checked} links verified over specs {shapes}"
+        return False, expected, "mismatches at " + ", ".join(bad)
+    return True, expected, f"{len(comp.vertices)} links verified"
 
 
 def _exec_theta_decomposition(n: int) -> tuple:
@@ -394,112 +339,66 @@ def _multicycle_count(n: int, lengths: Sequence[int]) -> int:
     return ways
 
 
-def _exec_filtration_quotients(ns: tuple, ps: tuple) -> tuple:
-    problems = []
-    quotients = 0
-    for family, min_len in (("delta", 1), ("dm", 2)):
-        for n in ns:
-            for p in ps:
-                families = multicycles(n, p, min_len=min_len)
+def _exec_filtration_quotient(family: str, n: int, p: int) -> tuple:
+    min_len = 1 if family == "delta" else 2  # dm has no loops
+    families = multicycles(n, p, min_len=min_len)
+    counts = dict(sorted(Counter(mc.type for mc in families).items()))
+    formula = {
+        lengths: _multicycle_count(n, lengths)
+        for lengths in itertools.combinations_with_replacement(
+            range(min_len, n + 1), p
+        )
+        if sum(lengths) <= n
+    }
 
-                grouped = Counter(mc.type for mc in families)
-                formula = {
-                    lengths: _multicycle_count(n, lengths)
-                    for lengths in itertools.combinations_with_replacement(
-                        range(min_len, n + 1), p
-                    )
-                    if sum(lengths) <= n
-                }
-                if dict(grouped) != formula:
-                    problems.append(
-                        f"{family} n={n} p={p}: counts {dict(grouped)} "
-                        f"!= products {formula}"
-                    )
-                    continue
+    want_parts: dict[int, list[AbelianGroup]] = {}
+    for mc in families:
+        base = _full_homology(f"omega-{n - mc.length}").nontrivial()
+        for k, g in base.items():
+            want_parts.setdefault(k + mc.length, []).append(g)
+    want = {k: AbelianGroup.direct_sum(gs) for k, gs in sorted(want_parts.items())}
 
-                want_parts: dict[int, list[AbelianGroup]] = {}
-                for mc in families:
-                    length = mc.length
-                    base = _full_homology(f"omega-{n - length}").nontrivial()
-                    for k, g in base.items():
-                        want_parts.setdefault(k + length, []).append(g)
-                want = {
-                    k: AbelianGroup.direct_sum(gs)
-                    for k, gs in want_parts.items()
-                }
-
-                fp = filtration_level(family, n, p)
-                fp_prev = filtration_level(family, n, p - 1)
-                got = relative_homology(fp, fp_prev).nontrivial()
-                quotients += 1
-                if got != want:
-                    problems.append(
-                        f"{family} n={n} p={p}: {_fmt(got)} != {_fmt(want)}"
-                    )
-    expected = (
-        "each quotient matches the direct sum over disjoint cycle families "
-        "(shift by total length, factor on the unused rows), and family "
-        "counts match the binomial products"
-    )
-    if problems:
-        return False, expected, "; ".join(problems)
-    return True, expected, (
-        f"{quotients} quotients match, both families, "
-        f"n in {tuple(ns)}, p in {tuple(ps)}; counts agree"
+    fp = filtration_level(family, n, p)
+    got = relative_homology(fp, filtration_level(family, n, p - 1)).nontrivial()
+    return (
+        got == want and counts == formula,
+        f"{_fmt(want)}; family counts {formula}",
+        f"{_fmt(got)}; family counts {counts}",
     )
 
 
-def _exec_sym_shift(p_max: int) -> tuple:
-    bad = []
-    for p in range(1, p_max + 1):
-        left = _full_homology(f"sym-{p}").nontrivial()
-        right = _shift(_full_homology(f"omega-{p + 1}").nontrivial(), 1)
-        if left != right:
-            bad.append(f"p={p}: {_fmt(left)} != shifted {_fmt(right)}")
-    expected = f"H~_i(sym(p)) = H~_(i-1) of the cycle-free complex on p+1 rows, p <= {p_max}"
-    if bad:
-        return False, expected, "; ".join(bad)
-    return True, expected, f"suspension shift holds for p = 1..{p_max}"
+def _exec_sym_shift(p: int) -> tuple:
+    left = _full_homology(f"sym-{p}").nontrivial()
+    right = {k + 1: g for k, g in _full_homology(f"omega-{p + 1}").nontrivial().items()}
+    return left == right, f"omega-{p + 1} shifted up one: {_fmt(right)}", _fmt(left)
 
 
-def _exec_sym_connectivity(p_max: int) -> tuple:
-    bad = []
-    for p in range(1, p_max + 1):
-        ok, _, computed = _exec_connectivity(f"sym-{p}", gamma_p(p))
+def _exec_all(cases: tuple) -> tuple:
+    """Check every ``(name, check)`` case: pass iff all of them pass.
+
+    Cases that expect the same text share one clause of ``expected``;
+    ``computed`` names each failing case with what it computed.
+    """
+    wanted: dict[str, list[str]] = {}
+    failed = []
+    for name, check in cases:
+        ok, expected, computed = check()
+        wanted.setdefault(expected, []).append(name)
         if not ok:
-            bad.append(f"p={p}: {computed}")
-    expected = f"H~_i(sym(p)) = 0 for i <= gamma_p, p <= {p_max}"
-    if bad:
-        return False, expected, "; ".join(bad)
-    return True, expected, f"gamma_p-connective for p = 1..{p_max}"
+            failed.append(f"{name}: {computed}")
+    expected = "; ".join(f"{', '.join(names)}: {e}" for e, names in wanted.items())
+    if failed:
+        return False, expected, "; ".join(failed)
+    return True, expected, f"all {len(cases)} cases pass"
 
 
 _ORACLE_SUITE = (
-    "delta-3x4",
-    "delta-5x5",
-    "delta-z-3-1",
-    "omega-2",
-    "omega-3",
-    "omega-4",
-    "omega-5",
-    "omega-2-2",
-    "omega-2-3",
-    "omega-3-3",
-    "omega-3-4",
-    "omega-4-4",
-    "omega-3-1",
-    "theta1-5",
-    "theta2-5",
-    "theta-5",
-    "dm-3",
-    "dm-4",
-    "fp-delta-4-1",
-    "fp-delta-4-2",
-    "fp-dm-4-1",
-    "fp-dm-4-2",
-    "sym-2",
-    "sym-3",
-    "sym-4",
+    "delta-3x4", "delta-5x5", "delta-z-3-1",
+    *(f"omega-{n}" for n in range(2, 6)),
+    "omega-2-2", "omega-2-3", "omega-3-3", "omega-3-4", "omega-4-4", "omega-3-1",
+    "theta1-5", "theta2-5", "theta-5", "dm-3", "dm-4",
+    "fp-delta-4-1", "fp-delta-4-2", "fp-dm-4-1", "fp-dm-4-2",
+    "sym-2", "sym-3", "sym-4",
 )
 
 
@@ -535,7 +434,7 @@ def _exec_snf_oracle(face_limit: int) -> tuple:
 CLAIMS: tuple[Claim, ...] = (
     Claim(
         "H2-Delta5",
-        partial(_exec_homology_at, "delta-5x5", (2,), {2: AbelianGroup(0, (3,))}),
+        partial(_exec_homology_at, "delta-5x5", 2, AbelianGroup(0, (3,))),
         "H_2 of the 5x5 chessboard complex is Z/3",
     ),
     Claim(
@@ -545,35 +444,13 @@ CLAIMS: tuple[Claim, ...] = (
         ),
         "the 3x4 chessboard complex has the homology of the torus",
     ),
-    Claim(
-        "omega-conn-2",
-        partial(_exec_connectivity, "omega-2", mu_n(2)),
-        "the cycle-free complex on 2 rows is mu-connective (mu = -1)",
-    ),
-    Claim(
-        "omega-conn-3",
-        partial(_exec_connectivity, "omega-3", mu_n(3)),
-        "the cycle-free complex on 3 rows is mu-connective (mu = -1)",
-    ),
-    Claim(
-        "omega-conn-4",
-        partial(_exec_connectivity, "omega-4", mu_n(4)),
-        "the cycle-free complex on 4 rows is mu-connective (mu = 0)",
-    ),
-    Claim(
-        "omega-conn-5",
-        partial(_exec_connectivity, "omega-5", mu_n(5)),
-        "the cycle-free complex on 5 rows is mu-connective (mu = 1)",
-    ),
-    Claim(
-        "omega-conn-6",
-        partial(_exec_connectivity, "omega-6", mu_n(6)),
-        "the cycle-free complex on 6 rows is mu-connective (mu = 1)",
-    ),
-    Claim(
-        "omega-conn-7",
-        partial(_exec_connectivity, "omega-7", mu_n(7)),
-        "the cycle-free complex on 7 rows is mu-connective (mu = 2)",
+    *(
+        Claim(
+            f"omega-conn-{n}",
+            partial(_exec_connectivity, f"omega-{n}", mu_n(n)),
+            f"the cycle-free complex on {n} rows is mu-connective (mu = {mu_n(n)})",
+        )
+        for n in range(2, 8)
     ),
     Claim(
         "omega5-epi-Z3",
@@ -581,72 +458,63 @@ CLAIMS: tuple[Claim, ...] = (
         "H_2 of the cycle-free complex on 5 rows maps onto "
         "H_2(5x5 chessboard) = Z/3, the two-sphere class hitting a generator",
     ),
-    Claim(
-        "omega-wedge-2-2",
-        partial(_exec_wedge, "omega-2-2", 2),
-        "with 2 extra rows the 2-row complex is a homology wedge of 1-spheres",
-    ),
-    Claim(
-        "omega-wedge-2-3",
-        partial(_exec_wedge, "omega-2-3", 2),
-        "with 3 extra rows the 2-row complex is a homology wedge of 1-spheres",
-    ),
-    Claim(
-        "omega-wedge-3-3",
-        partial(_exec_wedge, "omega-3-3", 3),
-        "with 3 extra rows the 3-row complex is a homology wedge of 2-spheres",
-    ),
-    Claim(
-        "omega-wedge-3-4",
-        partial(_exec_wedge, "omega-3-4", 3),
-        "with 4 extra rows the 3-row complex is a homology wedge of 2-spheres",
-    ),
-    Claim(
-        "omega-wedge-4-4",
-        partial(_exec_wedge, "omega-4-4", 4),
-        "with 4 extra rows the 4-row complex is a homology wedge of 3-spheres",
+    *(
+        Claim(
+            f"omega-wedge-{n}-{m}",
+            partial(_exec_wedge, f"omega-{n}-{m}", n),
+            f"with {m} extra rows the {n}-row complex is a homology wedge of "
+            f"{n - 1}-spheres",
+        )
+        for n, m in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4))
     ),
     Claim(
         "omega-nm-conn",
-        partial(_exec_nm_connectivity, 5, 3),
+        partial(
+            _exec_all,
+            tuple(
+                (
+                    f"omega-{n}-{m}",
+                    partial(_exec_connectivity, f"omega-{n}-{m}", mu_nm(n, m)),
+                )
+                for n in range(1, 6)
+                for m in range(1, 4)
+            ),
+        ),
         "the extra-row complexes are mu_nm-connective for n <= 5, m <= 3",
     ),
     Claim(
         "odd-sphere-1-nonbounding",
         partial(
-            _exec_nonbounding, "odd-sphere-1", ("omega-3-1", "delta-z-3-1"), 0
+            _exec_all,
+            tuple(
+                (key, partial(_exec_nonbounding, "odd-sphere-1", key, 0))
+                for key in ("omega-3-1", "delta-z-3-1")
+            ),
         ),
         "the embedded circle survives in the cycle-free complex on 3 rows "
         "plus one extra, and even in the full chessboard complex there",
     ),
     Claim(
         "odd-sphere-2-nonbounding",
-        partial(_exec_nonbounding, "odd-sphere-2", ("omega-6-1",), 0),
+        partial(_exec_nonbounding, "odd-sphere-2", "omega-6-1", 0),
         "the embedded 3-sphere survives in the cycle-free complex on "
         "6 rows plus one extra",
     ),
     Claim(
         "omega3-H1",
-        partial(_exec_homology_at, "omega-3", (1,), {1: AbelianGroup(2)}),
+        partial(_exec_homology_at, "omega-3", 1, AbelianGroup(2)),
         "H_1 of the cycle-free complex on 3 rows is Z^2",
     ),
     Claim(
         "link-reduced-spec",
         partial(
-            _exec_link_reduced,
-            (
-                (2, 0),
-                (3, 0),
-                (4, 0),
-                (5, 0),
-                (1, 1),
-                (2, 1),
-                (3, 1),
-                (4, 1),
-                (1, 2),
-                (2, 2),
-                (3, 2),
-                (4, 2),
+            _exec_all,
+            tuple(
+                (key, partial(_exec_link_reduced, key))
+                for key in (
+                    *(f"omega-{n}" for n in range(2, 6)),
+                    *(f"omega-{n}-{m}" for m in (1, 2) for n in range(1, 5)),
+                )
             ),
         ),
         "every vertex link is the cycle-free complex of the reduced spec",
@@ -664,20 +532,37 @@ CLAIMS: tuple[Claim, ...] = (
     ),
     Claim(
         "filtration-quotients",
-        partial(_exec_filtration_quotients, (4, 5), (1, 2)),
+        partial(
+            _exec_all,
+            tuple(
+                (f"{family} n={n} p={p}", partial(_exec_filtration_quotient, family, n, p))
+                for family in ("delta", "dm")
+                for n in (4, 5)
+                for p in (1, 2)
+            ),
+        ),
         "consecutive filtration quotients split as direct sums indexed by "
         "disjoint cycle families, for n = 4, 5 and p = 1, 2, both with and "
         "without loops",
     ),
     Claim(
         "sym-shift",
-        partial(_exec_sym_shift, 5),
+        partial(
+            _exec_all,
+            tuple((f"sym-{p}", partial(_exec_sym_shift, p)) for p in range(1, 6)),
+        ),
         "the suspension identity: sym(p) shifts the (p+1)-row homology up "
         "one degree, p <= 5",
     ),
     Claim(
         "sym-conn",
-        partial(_exec_sym_connectivity, 6),
+        partial(
+            _exec_all,
+            tuple(
+                (f"sym-{p}", partial(_exec_connectivity, f"sym-{p}", gamma_p(p)))
+                for p in range(1, 7)
+            ),
+        ),
         "sym(p) is gamma_p-connective for p <= 6",
     ),
     Claim(
@@ -694,22 +579,19 @@ CLAIMS: tuple[Claim, ...] = (
     ),
     Claim(
         "tight-sphere-2-nonbounding-mod3",
-        partial(_exec_nonbounding, "tight-sphere-2", ("delta-8x8",), 3),
+        partial(_exec_nonbounding, "tight-sphere-2", "delta-8x8", 3),
         "the tight 4-sphere is nonbounding mod 3 in the 8x8 chessboard "
         "complex",
         True,
     ),
-    Claim(
-        "probe-conjecture-n6",
-        partial(_exec_nonzero, "omega-6", mu_n(6) + 1),
-        "conjecture probe: homology one degree past the bound is nonzero "
-        "on 6 rows",
-    ),
-    Claim(
-        "probe-conjecture-n7",
-        partial(_exec_nonzero, "omega-7", mu_n(7) + 1),
-        "conjecture probe: homology one degree past the bound is nonzero "
-        "on 7 rows",
+    *(
+        Claim(
+            f"probe-conjecture-n{n}",
+            partial(_exec_nonzero, f"omega-{n}", mu_n(n) + 1),
+            "conjecture probe: homology one degree past the bound is nonzero "
+            f"on {n} rows",
+        )
+        for n in (6, 7)
     ),
 )
 

@@ -17,6 +17,7 @@ import pytest
 
 from cyclefree import (
     AbelianGroup,
+    CLAIMS,
     NOT_AT_DESK_SCALE,
     delta,
     full_board,
@@ -103,7 +104,7 @@ def test_criterion_13_sparse_homology_equals_dense_oracle():
 
 @pytest.mark.skipif(not LONG, reason=LONG_REASON)
 def test_criterion_14_long_tightness_k2():
-    check("14", ["omega8-H4", "tight-sphere-2-nonbounding-mod3"], long=True)
+    check("14", [c.id for c in CLAIMS if c.long], long=True)
 
 
 def test_conjecture_probes_stay_on_record():

@@ -241,6 +241,30 @@ class TestSmithNormalForm:
             with pytest.raises(ValueError, match=f"prime, got {p}"):
                 call()
 
+    def test_numpy_integer_primes_match_ints(self):
+        gen, _ = Presentation(RP2, 1).generators[0]
+        mat = boundary_matrix(RP2, 1)
+        for p in (2, 3):
+            q = np.int64(p)
+            assert homology(RP2, coefficients=q) == homology(RP2, coefficients=p)
+            assert betti_numbers(RP2, q) == betti_numbers(RP2, p)
+            assert is_boundary(gen, RP2, mod=q) == is_boundary(gen, RP2, mod=p)
+            assert rank_mod_p(mat, q) == rank_mod_p(mat, p)
+
+    def test_float_primes_are_rejected_before_any_reduction(self):
+        gen, _ = Presentation(RP2, 1).generators[0]
+        calls = [
+            lambda: homology(RP2, coefficients=3.0),
+            lambda: homology(EMPTYFACE, coefficients=3.0),
+            lambda: homology(SimplicialComplex(frozenset(), nonvoid=False), coefficients=3.0),
+            lambda: betti_numbers(EMPTYFACE, 3.0),
+            lambda: is_boundary(gen, RP2, mod=3.0),
+            lambda: rank_mod_p(boundary_matrix(RP2, 1), 3.0),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
     def test_primality_test(self):
         def trial(n):
             return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))

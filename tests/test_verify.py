@@ -1,6 +1,10 @@
 """Connectivity bound helpers, the claim executors and the claim runner."""
 
 import inspect
+import os
+import subprocess
+import sys
+from functools import partial
 
 import pytest
 
@@ -14,6 +18,7 @@ from cyclefree import (
     run_claims,
 )
 from cyclefree.verify import (
+    _exec_all,
     _exec_connectivity,
     _exec_nonzero_mod_p,
     _exec_snf_oracle,
@@ -117,3 +122,49 @@ class TestExecutors:
             "71 matrices agree across 22 complexes "
             "(3 suite complexes over the face limit)"
         )
+
+
+class TestAllCases:
+    def test_one_failing_case_fails_and_is_named(self):
+        cases = (
+            ("omega-3", partial(_exec_connectivity, "omega-3", -1)),
+            ("omega-4", partial(_exec_connectivity, "omega-4", 1)),
+            ("omega-5", partial(_exec_connectivity, "omega-5", 1)),
+        )
+        ok, expected, computed = _exec_all(cases)
+        assert not ok
+        assert expected == (
+            "omega-3: H~_i = 0 for i <= -1; "
+            "omega-4, omega-5: H~_i = 0 for i <= 1"
+        )
+        assert computed == "omega-4: H_1 = Z^7"
+
+    def test_every_failing_case_is_named(self):
+        cases = tuple(
+            (k, partial(_exec_connectivity, k, 0)) for k in ("omega-0", "omega-3")
+        )
+        assert _exec_all(cases)[2] == (
+            "omega-0: complex has no vertex; omega-3: H_0 = Z"
+        )
+
+    def test_all_passing_cases_pass(self):
+        cases = tuple(
+            (k, partial(_exec_connectivity, k, b)) for k, b in (("omega-4", 0), ("omega-5", 1))
+        )
+        assert _exec_all(cases) == (
+            True,
+            "omega-4: H~_i = 0 for i <= 0; omega-5: H~_i = 0 for i <= 1",
+            "all 2 cases pass",
+        )
+
+    def test_import_builds_no_complex(self):
+        # the catalog binds its cases lazily: importing it builds nothing
+        code = (
+            "import cyclefree, cyclefree.verify as v; "
+            "print(v._complex.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "0"
