@@ -21,6 +21,17 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
+__all__ = [
+    "Bijection",
+    "BoardSpec",
+    "Square",
+    "alpha_cycles",
+    "as_config",
+    "is_nontaking",
+    "make_spec",
+    "reduced_spec",
+]
+
 
 class Square(NamedTuple):
     """A board square.  Compares lexicographically by (row, col)."""
@@ -259,10 +270,6 @@ def _cycles(arcs: dict[int, tuple[int, Square]]) -> list[list[Square]]:
             state[x] = 1
     cycles.sort(key=lambda cyc: cyc[0].row)
     return cycles
-
-
-def is_cycle_free(config: Iterable, spec: BoardSpec) -> bool:
-    return not alpha_cycles(config, spec)
 
 
 def reduced_spec(spec: BoardSpec, v) -> BoardSpec:

@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+__all__ = ["SimplicialComplex", "intersection", "join", "suspension", "union"]
+
 
 class SimplicialComplex:
     __slots__ = (

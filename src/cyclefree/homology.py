@@ -54,6 +54,28 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 
+__all__ = [
+    "AbelianGroup",
+    "Chain",
+    "HomologyResult",
+    "InducedMap",
+    "Presentation",
+    "SparseIntMatrix",
+    "betti_numbers",
+    "boundary_matrix",
+    "chain_vector",
+    "dense_snf",
+    "homological_connectivity",
+    "homology",
+    "induced_map",
+    "is_boundary",
+    "is_cycle",
+    "rank_mod_p",
+    "rank_z",
+    "relative_homology",
+    "snf",
+]
+
 # ---------------------------------------------------------------------------
 # abelian groups
 
@@ -665,15 +687,6 @@ class HomologyResult:
         return f"HomologyResult({self.nontrivial()})"
 
 
-def _degree_list(complex_: SimplicialComplex, degrees, reduced: bool) -> list[int]:
-    if degrees is None:
-        lo = -1 if reduced else 0
-        return list(range(lo, max(complex_.dim, lo) + 1))
-    if isinstance(degrees, Iterable):
-        return sorted(set(operator.index(d) for d in degrees))
-    return [operator.index(degrees)]
-
-
 class _Map(NamedTuple):
     """A reduced boundary map d_k, and the k-faces that were its pivot columns."""
 
@@ -766,15 +779,20 @@ def homology(
         coefficients = _check_prime(coefficients)
     if complex_.is_void:
         return HomologyResult({})
-    degs = _degree_list(complex_, degrees, reduced)
+    if degrees is None:
+        lo = -1 if reduced else 0
+        degrees = range(lo, max(complex_.dim, lo) + 1)
+    elif isinstance(degrees, Iterable):
+        degrees = sorted(set(operator.index(d) for d in degrees))
+    else:
+        degrees = [operator.index(degrees)]
     sub = None if reduced else SimplicialComplex.from_facets([[]])  # unaugmented chains
-    return HomologyResult(_reduce(complex_, degs, coefficients, sub)[0])
+    return HomologyResult(_reduce(complex_, degrees, coefficients, sub)[0])
 
 
 def betti_numbers(
     complex_: SimplicialComplex,
     p: int = 0,
-    reduced: bool = True,
     through: Union[None, int] = None,
 ) -> dict[int, int]:
     """Reduced Betti numbers over F_p, or over Q for p == 0 (exact).
@@ -784,17 +802,13 @@ def betti_numbers(
     whose top boundary matrices are large.
     """
     p = _check_prime(p) if operator.index(p) else 0
-    lo = -1 if reduced else 0
     hi = complex_.dim if through is None else min(through, complex_.dim)
-    sub = None if reduced else SimplicialComplex.from_facets([[]])
-    groups, _ = _reduce(complex_, range(lo, hi + 1), p, sub)
+    groups, _ = _reduce(complex_, range(-1, hi + 1), p)
     return {k: g.rank for k, g in groups.items()}
 
 
-def homological_connectivity(
-    complex_: SimplicialComplex, coefficients: Union[None, int] = None
-):
-    """The largest c with reduced homology trivial in every degree <= c.
+def homological_connectivity(complex_: SimplicialComplex):
+    """The largest c with reduced integer homology trivial in every degree <= c.
 
     An empty complex (void or not: its realization is the empty space)
     reports -2.  If every reduced group through the top dimension
@@ -803,7 +817,7 @@ def homological_connectivity(
     """
     if not complex_.vertices:
         return -2
-    res = homology(complex_, coefficients=coefficients, reduced=True)
+    res = homology(complex_)
     for k in range(0, complex_.dim + 1):
         if not res.group(k).is_trivial:
             return k - 1
@@ -814,11 +828,7 @@ def homological_connectivity(
 # relative homology
 
 
-def relative_homology(
-    complex_: SimplicialComplex,
-    sub: SimplicialComplex,
-    degrees=None,
-) -> HomologyResult:
+def relative_homology(complex_: SimplicialComplex, sub: SimplicialComplex) -> HomologyResult:
     """Integer homology of the pair, via the quotient chain complex.
 
     Chains are unaugmented, so ``relative_homology(K, {empty face})``
@@ -827,12 +837,7 @@ def relative_homology(
     """
     if not sub.is_subcomplex_of(complex_):
         raise ValueError("second argument is not a subcomplex of the first")
-    degs = (
-        range(0, complex_.dim + 1)
-        if degrees is None
-        else _degree_list(complex_, degrees, reduced=False)
-    )
-    return HomologyResult(_reduce(complex_, degs, None, sub=sub)[0])
+    return HomologyResult(_reduce(complex_, range(0, complex_.dim + 1), None, sub)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_criterion_02_three_by_four_torus():
 
 
 def test_criterion_03_connectivity_through_mu():
-    check("03", [f"omega-conn-{n}" for n in range(2, 8)])
+    check("03", [c.id for c in CLAIMS if c.id.startswith("omega-conn-")])
 
 
 def test_criterion_04_tightness_k1_epimorphism_onto_torsion():
@@ -87,7 +87,7 @@ def test_criterion_09_links_are_reduced_spec_complexes():
 
 
 def test_criterion_10_theta_decomposition():
-    check("10", ["theta5-decomposition", "theta6-decomposition"])
+    check("10", ["theta5-decomposition", "theta6-decomposition", "theta7-decomposition"])
 
 
 def test_criterion_11_filtration_quotients():

@@ -201,12 +201,9 @@ def test_betti_numbers_through_each_degree_equal_per_matrix_ranks(c, p):
 
 @SETTINGS
 @given(pairs())
-def test_relative_homology_in_single_degrees_equals_per_matrix_assembly(pair):
+def test_relative_homology_of_random_pairs_equals_per_matrix_assembly(pair):
     c, sub = pair
-    want = relative_uncleared(c, sub)
-    assert relative_homology(c, sub).groups == want
-    for k, group in want.items():
-        assert relative_homology(c, sub, degrees=[k]).groups == {k: group}
+    assert relative_homology(c, sub).groups == relative_uncleared(c, sub)
 
 
 @SETTINGS
@@ -267,10 +264,7 @@ def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
 
 def test_relative_homology_equals_per_matrix_assembly():
     c, sub = omega(make_spec(4)), theta(4)
-    want = relative_uncleared(c, sub)
-    assert relative_homology(c, sub).groups == want
-    for k, group in want.items():
-        assert relative_homology(c, sub, degrees=[k]).groups == {k: group}
+    assert relative_homology(c, sub).groups == relative_uncleared(c, sub)
 
 
 def test_torsion_of_the_six_board_with_a_free_row():

@@ -2,22 +2,16 @@
 
 import doctest
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import cyclefree
+
 MODULES = [
-    importlib.import_module(f"cyclefree.{name}")
-    for name in (
-        "boards",
-        "builders",
-        "cli",
-        "complexes",
-        "facetfile",
-        "generators",
-        "homology",
-        "verify",
-    )
+    importlib.import_module(f"cyclefree.{info.name}")
+    for info in pkgutil.iter_modules(cyclefree.__path__)
 ]
 
 

@@ -16,12 +16,15 @@ from cyclefree import (
     mu_nm,
     nu_n,
     run_claims,
+    theta,
+    theta1,
 )
 from cyclefree.verify import (
     _exec_all,
     _exec_connectivity,
     _exec_nonzero_mod_p,
     _exec_snf_oracle,
+    _theta_from_definition,
 )
 
 
@@ -122,6 +125,13 @@ class TestExecutors:
             "71 matrices agree across 22 complexes "
             "(3 suite complexes over the face limit)"
         )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_theta_equals_its_definition_and_not_one_half(self, n):
+        # the theta claims compare theta(n), built as theta1 u theta2,
+        # with the faces of omega-n that avoid row 1 or column 1
+        assert _theta_from_definition(n) == theta(n)
+        assert _theta_from_definition(n) != theta1(n)
 
 
 class TestAllCases:
