@@ -19,6 +19,8 @@ digraph has no cycle.
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -42,7 +44,7 @@ class Square(NamedTuple):
 
 def as_config(squares: Iterable) -> frozenset[Square]:
     """Normalize an iterable of (row, col) pairs to a frozenset of Squares."""
-    return frozenset(Square(int(r), int(c)) for r, c in squares)
+    return frozenset(Square(operator.index(r), operator.index(c)) for r, c in squares)
 
 
 def is_nontaking(squares: Iterable) -> bool:
@@ -66,8 +68,12 @@ def is_nontaking(squares: Iterable) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class Bijection:
     """A bijection from column labels onto row labels.
+
+    Built from a dict ``{col: row}`` or from an iterable of (col, row)
+    pairs; ``pairs`` holds them sorted by column.
 
     >>> b = Bijection({1: 1, 2: 2, 3: 3})
     >>> b(2)
@@ -76,22 +82,20 @@ class Bijection:
     3
     """
 
-    __slots__ = ("_fwd", "_inv", "_pairs")
+    pairs: tuple[tuple[int, int], ...]
+    _fwd: dict = field(init=False, compare=False, repr=False)
+    _inv: dict = field(init=False, compare=False, repr=False)
 
-    def __init__(self, mapping):
-        if isinstance(mapping, Bijection):
-            pairs = mapping._pairs
-        elif isinstance(mapping, dict):
-            pairs = tuple(sorted(mapping.items()))
-        else:
-            pairs = tuple(sorted((int(c), int(r)) for c, r in mapping))
+    def __post_init__(self):
+        items = self.pairs.items() if isinstance(self.pairs, dict) else self.pairs
+        pairs = tuple(sorted((operator.index(c), operator.index(r)) for c, r in items))
         fwd = dict(pairs)
         inv = {r: c for c, r in pairs}
         if len(fwd) != len(pairs) or len(inv) != len(pairs):
             raise ValueError(f"not a bijection: {pairs}")
-        self._fwd = fwd
-        self._inv = inv
-        self._pairs = pairs
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_fwd", fwd)
+        object.__setattr__(self, "_inv", inv)
 
     @classmethod
     def identity(cls, labels: Iterable[int]) -> "Bijection":
@@ -114,19 +118,14 @@ class Bijection:
         return frozenset(self._inv)
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, Bijection) and self._pairs == other._pairs
-
-    def __hash__(self):
-        return hash(self._pairs)
+        return iter(self.pairs)
 
     def __repr__(self):
-        body = ", ".join(f"{c}:{r}" for c, r in self._pairs)
+        body = ", ".join(f"{c}:{r}" for c, r in self.pairs)
         return f"Bijection({{{body}}})"
 
 
+@dataclass(frozen=True, slots=True)
 class BoardSpec:
     """A board with a distinguished block and column-to-row bijection.
 
@@ -141,13 +140,16 @@ class BoardSpec:
     ``X x Y`` must lie on the board.
     """
 
-    __slots__ = ("board", "x_rows", "y_cols", "alpha")
+    board: frozenset[Square]
+    x_rows: frozenset[int]
+    y_cols: frozenset[int]
+    alpha: Bijection
 
-    def __init__(self, board, x_rows, y_cols, alpha):
-        board = as_config(board)
-        x_rows = frozenset(int(x) for x in x_rows)
-        y_cols = frozenset(int(y) for y in y_cols)
-        alpha = alpha if isinstance(alpha, Bijection) else Bijection(alpha)
+    def __post_init__(self):
+        board = as_config(self.board)
+        x_rows = frozenset(map(operator.index, self.x_rows))
+        y_cols = frozenset(map(operator.index, self.y_cols))
+        alpha = self.alpha if isinstance(self.alpha, Bijection) else Bijection(self.alpha)
         if alpha.source != y_cols or alpha.target != x_rows:
             raise ValueError("alpha must map the column labels Y onto the row labels X")
         missing = [(x, y) for x in x_rows for y in y_cols if Square(x, y) not in board]
@@ -157,9 +159,6 @@ class BoardSpec:
         object.__setattr__(self, "x_rows", x_rows)
         object.__setattr__(self, "y_cols", y_cols)
         object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoardSpec is immutable")
 
     @property
     def rows(self) -> frozenset[int]:
@@ -174,18 +173,6 @@ class BoardSpec:
         return frozenset(
             Square(x, self.alpha.inverse(x)) for x in self.x_rows
         ) & self.board
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoardSpec)
-            and self.board == other.board
-            and self.x_rows == other.x_rows
-            and self.y_cols == other.y_cols
-            and self.alpha == other.alpha
-        )
-
-    def __hash__(self):
-        return hash((self.board, self.x_rows, self.y_cols, self.alpha))
 
     def __repr__(self):
         return (
@@ -241,10 +228,10 @@ def alpha_cycles(config: Iterable, spec: BoardSpec) -> list[list[Square]]:
     >>> alpha_cycles([(1, 2), (2, 3)], make_spec(3))
     []
     """
-    config = as_config(config)
-    if not is_nontaking(config):
-        raise ValueError(f"configuration is taking: {sorted(config)}")
-    return _cycles(_arcs(config, spec))
+    squares = list(config)
+    if not is_nontaking(squares):
+        raise ValueError(f"configuration is taking: {sorted(squares)}")
+    return _cycles(_arcs(as_config(squares), spec))
 
 
 def _cycles(arcs: dict[int, tuple[int, Square]]) -> list[list[Square]]:

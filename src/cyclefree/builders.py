@@ -17,6 +17,8 @@ result is already a facet set and skips the maximality filter of
 from __future__ import annotations
 
 import itertools
+import operator
+from dataclasses import dataclass
 from typing import Iterable
 
 from .boards import Bijection, BoardSpec, Square, as_config, make_spec
@@ -261,6 +263,7 @@ def filtration_level(family: str, n: int, p: int) -> SimplicialComplex:
     return SimplicialComplex(_maximal_configs(board, spec, p), nonvoid=True)
 
 
+@dataclass(frozen=True, slots=True)
 class Multicycle:
     """Pairwise vertex-disjoint directed cycles on integer nodes.
 
@@ -268,13 +271,13 @@ class Multicycle:
     sorted by that node, so equal families compare equal.
     """
 
-    __slots__ = ("cycles",)
+    cycles: tuple[tuple[int, ...], ...]
 
-    def __init__(self, cycles: Iterable[Iterable[int]]):
+    def __post_init__(self):
         canon = []
         seen: set[int] = set()
-        for cyc in cycles:
-            cyc = tuple(int(v) for v in cyc)
+        for cyc in self.cycles:
+            cyc = tuple(map(operator.index, cyc))
             if not cyc:
                 raise ValueError("empty cycle")
             if len(set(cyc)) != len(cyc):
@@ -287,9 +290,6 @@ class Multicycle:
             canon.append(cyc)
         object.__setattr__(self, "cycles", tuple(sorted(canon)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multicycle is immutable")
-
     @property
     def type(self) -> tuple[int, ...]:
         """Multiset of cycle lengths, as a sorted tuple."""
@@ -298,12 +298,6 @@ class Multicycle:
     @property
     def length(self) -> int:
         return sum(len(c) for c in self.cycles)
-
-    def __eq__(self, other):
-        return isinstance(other, Multicycle) and self.cycles == other.cycles
-
-    def __hash__(self):
-        return hash(self.cycles)
 
     def __repr__(self):
         return f"Multicycle({list(self.cycles)})"

@@ -16,8 +16,8 @@ complex.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable
 
 from .boards import BoardSpec, Square, alpha_cycles, make_spec
 from .complexes import SimplicialComplex, join
@@ -85,6 +85,7 @@ def _join_chains(z1: Chain, z2: Chain) -> Chain:
     return Chain(coeffs, degree=z1.degree + z2.degree + 1)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SphereEmbedding:
     """A join of sphere factors placed inside a cycle-free complex.
 
@@ -100,10 +101,13 @@ class SphereEmbedding:
     and the fundamental chain must have zero boundary.
     """
 
-    __slots__ = ("factors", "ambient", "complex", "fundamental")
+    factors: tuple[SimplicialComplex, ...]
+    ambient: BoardSpec
+    complex: SimplicialComplex = field(init=False)
+    fundamental: Chain = field(init=False)
 
-    def __init__(self, factors: Iterable[SimplicialComplex], ambient: BoardSpec):
-        factors = tuple(factors)
+    def __post_init__(self):
+        factors = tuple(self.factors)
         if not factors:
             raise ValueError("need at least one factor")
         used_rows: set = set()
@@ -118,20 +122,16 @@ class SphereEmbedding:
         cx = reduce(join, factors)
         for facet in cx.facets:
             config = [Square(*v) for v in facet]
-            if any(s not in ambient.board for s in config):
+            if any(s not in self.ambient.board for s in config):
                 raise ValueError(f"facet leaves the board: {sorted(config)}")
-            if alpha_cycles(config, ambient):
+            if alpha_cycles(config, self.ambient):
                 raise ValueError(f"facet induces a cycle: {sorted(config)}")
         z = reduce(_join_chains, (_factor_cycle(f) for f in factors))
         if not z.boundary().is_zero:
             raise ValueError("fundamental chain is not a cycle")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "complex", cx)
         object.__setattr__(self, "fundamental", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SphereEmbedding is immutable")
 
     def __repr__(self):
         return (

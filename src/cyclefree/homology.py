@@ -80,6 +80,7 @@ __all__ = [
 # abelian groups
 
 
+@dataclass(frozen=True, slots=True)
 class AbelianGroup:
     """A finitely generated abelian group in invariant factor form.
 
@@ -90,19 +91,17 @@ class AbelianGroup:
     the factors > 1 of the Smith form of diag(|orders|).
     """
 
-    __slots__ = ("rank", "torsion")
+    rank: int = 0
+    torsion: tuple[int, ...] = ()
 
-    def __init__(self, rank: int = 0, torsion: Iterable[int] = ()):
-        rank = operator.index(rank)
+    def __post_init__(self):
+        rank = operator.index(self.rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         object.__setattr__(self, "rank", rank)
-        orders = [abs(operator.index(t)) for t in torsion]
+        orders = [abs(operator.index(t)) for t in self.torsion]
         chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
         object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianGroup is immutable")
 
     @classmethod
     def direct_sum(cls, groups: Iterable["AbelianGroup"]) -> "AbelianGroup":
@@ -115,16 +114,6 @@ class AbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AbelianGroup)
-            and self.rank == other.rank
-            and self.torsion == other.torsion
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.torsion))
 
     def __str__(self):
         parts = []

@@ -503,6 +503,17 @@ CLAIMS: tuple[Claim, ...] = (
         "the extra-row complexes are mu_nm-connective for n <= 5, m <= 3",
     ),
     Claim(
+        "omega-nm-conn-6",
+        partial(
+            _exec_all,
+            tuple(
+                (f"omega-6-{m}", partial(_exec_connectivity, f"omega-6-{m}", mu_nm(6, m)))
+                for m in range(1, 4)
+            ),
+        ),
+        "the extra-row complexes on 6 rows are mu_nm-connective for m <= 3",
+    ),
+    Claim(
         "odd-sphere-1-nonbounding",
         partial(
             _exec_all,
@@ -578,6 +589,12 @@ CLAIMS: tuple[Claim, ...] = (
         ),
         "the suspension identity: sym(p) shifts the (p+1)-row homology up "
         "one degree, p <= 5",
+    ),
+    Claim(
+        "sym-shift-6",
+        partial(_exec_sym_shift, 6),
+        "the suspension identity at p = 6: sym(6) shifts the 7-row homology "
+        "up one degree",
     ),
     Claim(
         "sym-conn",

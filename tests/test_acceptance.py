@@ -70,7 +70,7 @@ def test_criterion_05_wedge_of_spheres_when_m_at_least_n():
 
 
 def test_criterion_06_free_row_connectivity():
-    check("06", ["omega-nm-conn"])
+    check("06", ["omega-nm-conn", "omega-nm-conn-6"])
 
 
 def test_criterion_07_odd_spheres_do_not_bound():
@@ -95,7 +95,7 @@ def test_criterion_11_filtration_quotients():
 
 
 def test_criterion_12_suspension_identity_and_connectivity():
-    check("12", ["sym-shift", "sym-conn"])
+    check("12", ["sym-shift", "sym-shift-6", "sym-conn"])
 
 
 def test_criterion_13_sparse_homology_equals_dense_oracle():
