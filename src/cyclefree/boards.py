@@ -272,7 +272,7 @@ def reduced_spec(spec: BoardSpec, v) -> BoardSpec:
     * ``b in Y`` only: the row ``alpha(b)`` leaves X.
     * neither: X, Y, alpha are unchanged.
     """
-    v = Square(*v)
+    (v,) = as_config([v])
     if v not in spec.board:
         raise ValueError(f"{v} is not a board square")
     a, b = v

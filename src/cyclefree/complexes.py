@@ -27,7 +27,7 @@ __all__ = ["SimplicialComplex", "intersection", "join", "suspension", "union"]
 class SimplicialComplex:
     __slots__ = (
         "_facets", "_nonvoid", "_dim", "vertices",
-        "_vset", "_index", "_faces", "_findex",
+        "_vset", "_index", "_faces", "_findex", "_maps",
     )
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
@@ -42,6 +42,7 @@ class SimplicialComplex:
         self._index: tuple | None = None  # _index_rows, made once
         self._faces: dict[int, tuple] = {}
         self._findex: dict[int, dict] = {}
+        self._maps: dict[tuple, dict] = {}  # reduced boundary maps, see homology._reduce
 
     # -- construction -------------------------------------------------
 

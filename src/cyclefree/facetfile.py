@@ -34,7 +34,9 @@ def _parse_header(line: str) -> dict[str, str]:
     fields = {}
     for part in line[len("!spec"):].split():
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        if key in fields:
+            raise ValueError(f"spec header repeats {key}")
+        fields[key] = value
     missing = {"X", "Y", "alpha"} - set(fields)
     if missing:
         raise ValueError(f"spec header missing {sorted(missing)}")
@@ -74,12 +76,9 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
     if header is not None:
         x = _parse_labels(header["X"])
         y = _parse_labels(header["Y"])
-        alpha = {}
-        for pair in header["alpha"].split(","):
-            if not pair:
-                continue
-            col, _, row = pair.partition(":")
-            alpha[int(col)] = int(row)
+        # pairs, not a dict, so that Bijection sees a repeated column
+        pairs = [pair.partition(":") for pair in header["alpha"].split(",") if pair]
+        alpha = [(int(col), int(row)) for col, _, row in pairs]
         board = {Square(r, c) for r in x for c in y}
         board.update(sq for f in facets for sq in f)
         spec = BoardSpec(board, x, y, alpha)

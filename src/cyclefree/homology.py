@@ -30,11 +30,12 @@ pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
 (otherwise plain) result.  For a boundary map d_k these are k-faces.
 :func:`homology`, :func:`betti_numbers`, :func:`relative_homology` and
 :func:`is_boundary` share one core, :func:`_reduce`.  It reduces the
-maps d_k that a query needs, as :func:`boundary_matrix` builds them,
-from the lowest degree up and uses them for *clearing*: a k-face that
-was a pivot column of d_k is a skipped row of d_{k+1} (rows and columns
-are positions in the face order), which keeps the row lattice of d_{k+1}
-and so its Smith form (see :func:`_reduce` for the argument).
+maps d_k that a query needs and does not find on the complex, which
+keeps every map it reduces, from the lowest degree up.  It uses them
+for *clearing*: a k-face that was a pivot column of d_k is a skipped
+row of d_{k+1} (rows and columns are positions in the face order),
+which keeps the row lattice of d_{k+1} and so its Smith form (see
+:func:`_reduce` for the argument).
 :func:`is_boundary` reduces that same cleared map, with the cycle it
 tests as one more column.
 
@@ -161,7 +162,7 @@ class Chain:
             degree = sizes.pop() - 1
         elif sizes and sizes.pop() - 1 != degree:
             raise ValueError("degree disagrees with simplex size")
-        self.degree = degree
+        self.degree = operator.index(degree)
         self._coeffs = clean
 
     @classmethod
@@ -699,11 +700,13 @@ def _reduce(
     of ``sub`` and those below degree 0, so a void ``sub`` or the complex
     {empty face} gives unreduced homology.  H_k has rank n_k - r_k -
     r_{k+1}, n_k counting the chains, and the torsion of d_{k+1}.  The
-    maps are returned by degree; ``pivot_cols`` are positions in faces(k).
+    maps stay on the complex, by ``(field, sub)`` and then by degree, so
+    each is reduced once; the dict of them is returned for reading.
+    ``pivot_cols`` are positions in faces(k).
 
     Each map d_k is reduced by rows, so its pivots are k-faces.  The
     maps go from the lowest degree up, and d_k skips as rows the
-    (k-1)-faces that were pivot columns of d_{k-1} in this call
+    (k-1)-faces that were pivot columns of d_{k-1}, if it is known
     (*clearing*, after Chen and Kerber; eliminating rows of d_k is
     reducing the coboundary, as in de Silva, Morozov and
     Vejdemo-Johansson).  This is exact.  Let P be the pivot rows of
@@ -724,11 +727,9 @@ def _reduce(
         gone = () if sub is None else complex_.faces(k) if k < 0 else sub.faces(k)
         outside[k] = frozenset(complex_.face_index(k)[f] for f in gone)
     n = {k: len(complex_.faces(k)) - len(out) for k, out in outside.items()}
-    maps: dict[int, _Map] = {}
-    cleared: frozenset[int] = frozenset()  # (k-1)-faces, pivot columns of d_{k-1}
-    for k in needed:
-        if k - 1 not in maps:
-            cleared = frozenset()
+    maps: dict[int, _Map] = complex_._maps.setdefault((field, sub), {})
+    for k in [d for d in needed if d not in maps]:
+        cleared = maps[k - 1].pivot_cols if k - 1 in maps else frozenset()
         if not n[k] or n[k - 1] == len(cleared):
             maps[k] = _Map(0, (), frozenset())
         else:
@@ -740,7 +741,6 @@ def _reduce(
             else:
                 result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
                 maps[k] = _Map(int(result), (), frozenset(result.pivot_cols))
-        cleared = maps[k].pivot_cols
     groups = {
         k: AbelianGroup(n[k] - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
         for k in degrees

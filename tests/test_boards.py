@@ -46,8 +46,12 @@ _BLOCK = make_spec(2).board
         lambda: Bijection([(1.5, 2)]),
         lambda: Bijection({1.5: 2}),
         lambda: Multicycle([(1.5, 2)]),
+        lambda: reduced_spec(make_spec(2), (1.0, 1)),
     ],
-    ids=["as_config", "x_rows", "y_cols", "bijection-pairs", "bijection-dict", "multicycle"],
+    ids=[
+        "as_config", "x_rows", "y_cols", "bijection-pairs", "bijection-dict", "multicycle",
+        "reduced_spec",
+    ],
 )
 def test_non_integer_labels_are_rejected(build):
     with pytest.raises(TypeError):

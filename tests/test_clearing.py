@@ -7,8 +7,13 @@ of d_k.  Clearing has no off switch, so the reference here rebuilds
 each boundary map whole and reduces it on its own with ``snf``,
 ``rank_z`` or ``rank_mod_p``.
 A query for a few degrees starts in the middle of the complex, so those
-are checked degree by degree.
+are checked degree by degree, each on a fresh copy of the complex: the
+maps a query reduces stay on the complex, and a later query on it
+reduces only the maps it does not find there, clearing with maps an
+earlier query reduced.
 """
+
+import importlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +21,15 @@ from hypothesis import given, settings, strategies as st
 from cyclefree import (
     AbelianGroup,
     BoardSpec,
+    Chain,
     HomologyResult,
     SimplicialComplex,
     SparseIntMatrix,
     betti_numbers,
     boundary_matrix,
+    homological_connectivity,
     homology,
+    is_boundary,
     make_spec,
     omega,
     rank_mod_p,
@@ -30,12 +38,17 @@ from cyclefree import (
     snf,
     theta,
 )
-from cyclefree.homology import _in_span
+from cyclefree.homology import _in_span, _reduce
 
 from test_homology import RP2
 from test_properties import complexes
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def fresh(c):
+    """An equal complex with nothing computed on it yet."""
+    return SimplicialComplex.from_facets(c.facets)
 
 
 def transpose(matrix):
@@ -186,9 +199,10 @@ def test_homology_in_single_degrees_equals_per_matrix_smith_forms(c, reduced):
     assert homology(c, reduced=reduced).groups == want
     lo = min(want)
     for k, group in want.items():
-        assert homology(c, degrees=[k], reduced=reduced).groups == {k: group}
+        assert homology(fresh(c), degrees=[k], reduced=reduced).groups == {k: group}
         # two degrees far enough apart leave a map out between them
-        assert homology(c, degrees=[lo, k], reduced=reduced).groups == {lo: want[lo], k: group}
+        got = homology(fresh(c), degrees=[lo, k], reduced=reduced).groups
+        assert got == {lo: want[lo], k: group}
 
 
 @SETTINGS
@@ -197,6 +211,42 @@ def test_betti_numbers_through_each_degree_equal_per_matrix_ranks(c, p):
     want = {k: g.rank for k, g in uncleared(c, field_rank(p)).items()}
     for t in range(-1, c.dim + 1):
         assert betti_numbers(c, p, through=t) == {k: b for k, b in want.items() if k <= t}
+
+
+@st.composite
+def query_sequences(draw):
+    """A complex and queries of ``_reduce``: field, reduced or not, degrees."""
+    c = draw(st.one_of(complexes(range(7)), relabelled_omegas()))
+    degrees = st.lists(st.integers(-1, c.dim + 1), min_size=1, max_size=3)
+    query = st.tuples(st.sampled_from([None, 0, 2, 3]), st.booleans(), degrees)
+    return c, draw(st.lists(query, min_size=1, max_size=8))
+
+
+@SETTINGS
+@given(query_sequences())
+def test_queries_in_any_order_equal_one_call_on_a_fresh_complex(case):
+    c, queries = case
+    for field, reduced, degrees in queries:
+        sub = None if reduced else SimplicialComplex.from_facets([[]])
+        whole = _reduce(fresh(c), range(-1, c.dim + 2), field, sub)[0]
+        assert _reduce(c, degrees, field, sub)[0] == {k: whole[k] for k in degrees}
+
+
+def test_a_map_is_reduced_once_per_complex(monkeypatch):
+    module = importlib.import_module("cyclefree.homology")  # the package binds the function
+    reduced = []
+    snf = module.snf
+    monkeypatch.setattr(module, "snf", lambda matrix: reduced.append(matrix) or snf(matrix))
+    c = omega(make_spec(4, 1))
+    h = homology(c)
+    assert reduced
+    reduced.clear()
+    for k in range(-1, c.dim + 1):
+        assert homology(c, degrees=[k]).groups == {k: h[k]}
+    assert homological_connectivity(c) == 1
+    for k in range(0, c.dim):
+        assert is_boundary(Chain.from_simplex(c.faces(k + 1)[0]).boundary(), c)
+    assert not reduced
 
 
 @SETTINGS

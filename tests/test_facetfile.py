@@ -99,6 +99,22 @@ def test_header_requires_all_fields(tmp_path):
         read_complex(path)
 
 
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        # read as a dict, the pair 1:1 replaced 1:2 and the bijection passed
+        ("!spec X=1,2 Y=1,2 alpha=1:2,1:1,2:2", "not a bijection"),
+        ("!spec X=1 X=1,2 Y=1,2 alpha=1:1,2:2", "repeats X"),
+    ],
+    ids=["alpha-column", "key"],
+)
+def test_header_with_a_repeat_rejected(tmp_path, header, match):
+    path = tmp_path / "repeat.facets"
+    path.write_text(header + "\n1,1\n")
+    with pytest.raises(ValueError, match=match):
+        read_complex(path)
+
+
 def test_second_header_rejected(tmp_path):
     path = tmp_path / "two.facets"
     # under the second header the loop 1,1 would pass, under the first not

@@ -161,6 +161,13 @@ class TestChain:
             Chain.from_simplex((1, 2)).scale(1.5)
         assert Chain({(1, 2): np.int64(2)}) == Chain.from_simplex((1, 2), 2)
 
+    def test_non_integer_degree_is_rejected(self):
+        with pytest.raises(TypeError):
+            Chain({}, degree=1.5)
+        with pytest.raises(TypeError):
+            Chain({(1, 2): 1}, degree=1.0)
+        assert Chain({}, degree=np.int64(1)) == Chain({}, degree=1)
+
 
 class TestBoundaryMatrix:
     def test_edge_signs(self):
