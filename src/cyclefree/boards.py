@@ -262,37 +262,19 @@ def _cycles(arcs: dict[int, tuple[int, Square]]) -> list[list[Square]]:
 def reduced_spec(spec: BoardSpec, v) -> BoardSpec:
     """The spec seen by the link of a vertex ``v = (a, b)``.
 
-    The new board drops row ``a`` and column ``b``.  The distinguished
-    data shrinks so that induced digraphs restrict correctly:
-
-    * ``a in X`` and ``b in Y``: drop ``a`` from X and ``b`` from Y; the
-      column that used to point at ``a`` now points at ``alpha(b)``,
-      splicing the arc through the removed row.
-    * ``a in X`` only: the column pointing at ``a`` leaves Y.
-    * ``b in Y`` only: the row ``alpha(b)`` leaves X.
-    * neither: X, Y, alpha are unchanged.
+    The new board drops row ``a`` and column ``b``, and alpha drops
+    column ``b``.  The column that pointed at row ``a``, if any, is
+    spliced: it now points at ``alpha(b)`` when ``b`` is in Y, and leaves
+    alpha otherwise.  The new X and Y are the image and the domain of
+    the new alpha, so induced digraphs restrict correctly.
     """
     (v,) = as_config([v])
     if v not in spec.board:
         raise ValueError(f"{v} is not a board square")
     a, b = v
     board = [s for s in spec.board if s.row != a and s.col != b]
-    x, y = spec.x_rows, spec.y_cols
-    alpha = spec.alpha
-    if a in x and b in y:
-        new_x = x - {a}
-        new_y = y - {b}
-        b_to_a = alpha.inverse(a)  # the column that pointed at the removed row
-        pairs = {c: r for c, r in alpha.items() if c != b and c != b_to_a}
-        if b_to_a != b:
-            pairs[b_to_a] = alpha(b)
-        return BoardSpec(board, new_x, new_y, pairs)
-    if a in x:
-        new_y = y - {alpha.inverse(a)}
-        pairs = {c: r for c, r in alpha.items() if r != a and c != b}
-        return BoardSpec(board, x - {a}, new_y, pairs)
-    if b in y:
-        new_x = x - {alpha(b)}
-        pairs = {c: r for c, r in alpha.items() if c != b}
-        return BoardSpec(board, new_x, y - {b}, pairs)
-    return BoardSpec(board, x, y, alpha)
+    alpha = dict(spec.alpha.items())
+    through = alpha.pop(b, None)  # alpha(b), if b is in Y
+    pairs = {c: through if r == a else r for c, r in alpha.items()}
+    pairs = {c: r for c, r in pairs.items() if r is not None}
+    return BoardSpec(board, pairs.values(), pairs.keys(), pairs)

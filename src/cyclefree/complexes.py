@@ -169,7 +169,7 @@ class SimplicialComplex:
     def __repr__(self):
         if self.is_void:
             return "SimplicialComplex(void)"
-        return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
+        return f"SimplicialComplex(dim={self.dim}, facets={len(self._facets)})"
 
 
 def _index_rows(facets: frozenset[frozenset], vertices: tuple) -> tuple:

@@ -11,7 +11,8 @@ bijection of a board spec; the board itself is reconstructed as the block X x Y
 together with every square mentioned in the file.  Under a header every
 facet must be a non-taking, cycle-free configuration of that spec, and
 a facet that is not is rejected with its line number; so is a second
-header.
+header, and a header with a key other than X, Y and alpha, a repeated
+key or a repeated label.
 
 A file without facet lines denotes the complex whose only face is the
 empty one.  The void complex has no representation and is rejected on
@@ -34,6 +35,8 @@ def _parse_header(line: str) -> dict[str, str]:
     fields = {}
     for part in line[len("!spec"):].split():
         key, _, value = part.partition("=")
+        if key not in ("X", "Y", "alpha"):
+            raise ValueError(f"spec header has unknown key {key!r}")
         if key in fields:
             raise ValueError(f"spec header repeats {key}")
         fields[key] = value
@@ -44,7 +47,10 @@ def _parse_header(line: str) -> dict[str, str]:
 
 
 def _parse_labels(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    labels = [int(tok) for tok in text.split(",") if tok]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"spec header repeats a label in {text!r}")
+    return labels
 
 
 def _parse_square(token: str) -> Square:

@@ -15,6 +15,7 @@ from cyclefree import (
     hexagon,
     is_nontaking,
     make_spec,
+    omega,
     reduced_spec,
 )
 from cyclefree.boards import _arcs
@@ -208,6 +209,17 @@ class TestReducedSpec:
         r = reduced_spec(s, (1, 3))
         # row 1 leaves X, so the column pointing at it leaves Y
         assert r.x_rows == {2} and r.y_cols == {2}
+
+    def test_every_link_under_a_three_cycle_alpha(self):
+        # a free row and a free column, so the vertices cover a in X or
+        # not and b in Y or not, under an alpha with no fixed point
+        base = make_spec(3, 1, 1)
+        s = BoardSpec(base.board, base.x_rows, base.y_cols, {1: 2, 2: 3, 3: 1})
+        c = omega(s)
+        # every square but the three loop squares is a vertex
+        assert set(c.vertices) == s.board - s.loop_squares() and len(c.vertices) == 13
+        for v in c.vertices:
+            assert c.link(v) == omega(reduced_spec(s, v)), v
 
     def test_off_board_vertex_rejected(self):
         with pytest.raises(ValueError):

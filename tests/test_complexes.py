@@ -107,6 +107,18 @@ class TestFaceLists:
         c.faces(1)
         assert c.f_vector() == (6, 9, 5, 1) and list(c._faces) == [1]
 
+    def test_repr_lists_no_faces(self, monkeypatch):
+        calls = []
+        face_rows = SimplicialComplex._face_rows
+        monkeypatch.setattr(
+            SimplicialComplex,
+            "_face_rows",
+            lambda self, k: calls.append(k) or face_rows(self, k),
+        )
+        text = repr(K("abcd", "cde", "ef"))
+        assert calls == []
+        assert text == "SimplicialComplex(dim=3, facets=3)"
+
 
 def test_face_index_matches_enumeration():
     idx = TRIANGLE_BOUNDARY.face_index(1)

@@ -105,13 +105,22 @@ def test_header_requires_all_fields(tmp_path):
         # read as a dict, the pair 1:1 replaced 1:2 and the bijection passed
         ("!spec X=1,2 Y=1,2 alpha=1:2,1:1,2:2", "not a bijection"),
         ("!spec X=1 X=1,2 Y=1,2 alpha=1:1,2:2", "repeats X"),
+        # read as sets, both label lists were {1, 2}
+        ("!spec X=1,1,2 Y=1,2,2 alpha=1:1,2:2", "repeats a label"),
     ],
-    ids=["alpha-column", "key"],
+    ids=["alpha-column", "key", "label"],
 )
 def test_header_with_a_repeat_rejected(tmp_path, header, match):
     path = tmp_path / "repeat.facets"
     path.write_text(header + "\n1,1\n")
     with pytest.raises(ValueError, match=match):
+        read_complex(path)
+
+
+def test_header_with_an_unknown_key_rejected(tmp_path):
+    path = tmp_path / "junk.facets"
+    path.write_text("!spec X=1,2 Y=1,2 alpha=1:1,2:2 junk=3\n1,2\n")
+    with pytest.raises(ValueError, match="unknown key 'junk'"):
         read_complex(path)
 
 

@@ -118,13 +118,10 @@ class TestExecutors:
         assert expected == "dim over F_3 of H_2 > 0"
         assert computed == "dim over F_3 of H_2 = 43"
 
-    def test_snf_oracle_skips_complexes_over_the_face_limit(self):
-        ok, _, computed = _exec_snf_oracle(600)
+    def test_snf_oracle_checks_every_suite_complex(self):
+        ok, _, computed = _exec_snf_oracle()
         assert ok
-        assert computed == (
-            "71 matrices agree across 22 complexes "
-            "(3 suite complexes over the face limit)"
-        )
+        assert computed == "85 matrices agree across 25 complexes"
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_theta_equals_its_definition_and_not_one_half(self, n):
