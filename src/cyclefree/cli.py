@@ -146,7 +146,7 @@ def _cmd_link(args, parser: argparse.ArgumentParser) -> int:
     except ValueError:
         parser.error("--vertex expects ROW,COL with integer labels")
     v = Square(row, col)
-    if v not in complex_.vertices:
+    if not complex_.has_vertex(v):
         parser.error(f"vertex {args.vertex} is not in the complex")
     sys.stdout.write(format_complex(complex_.link(v)))
     return 0
@@ -231,7 +231,3 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args, args.parser)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -27,7 +27,7 @@ __all__ = ["SimplicialComplex", "intersection", "join", "suspension", "union"]
 class SimplicialComplex:
     __slots__ = (
         "_facets", "_nonvoid", "_dim", "vertices",
-        "_vset", "_index", "_faces", "_findex", "_maps",
+        "_index", "_faces", "_findex", "_maps",
     )
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
@@ -38,7 +38,6 @@ class SimplicialComplex:
         for f in facets:
             vs.update(f)
         self.vertices = tuple(sorted(vs))
-        self._vset = frozenset(vs)
         self._index: tuple | None = None  # _index_rows, made once
         self._faces: dict[int, tuple] = {}
         self._findex: dict[int, dict] = {}
@@ -71,13 +70,14 @@ class SimplicialComplex:
         return self._dim
 
     def has_vertex(self, v) -> bool:
-        return v in self._vset
+        return self.has_face((v,))
 
     def has_face(self, face: Iterable) -> bool:
-        face = frozenset(face)
-        if not face:
-            return self._nonvoid
-        return any(face <= f for f in self._facets)
+        """Whether the vertices span a face: one ``face_index`` lookup,
+        which builds and caches that degree's index.  The vertices are
+        sorted, so they must be mutually comparable (else ``TypeError``)."""
+        face = tuple(sorted(frozenset(face)))
+        return face in self.face_index(len(face) - 1)
 
     def faces(self, k: int) -> tuple:
         """All k-faces as sorted vertex tuples, lexicographically ordered.
@@ -134,10 +134,6 @@ class SimplicialComplex:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        if self.is_void:
-            return True
-        if other.is_void:
-            return False
         return all(other.has_face(f) for f in self._facets)
 
     # -- local structure -----------------------------------------------

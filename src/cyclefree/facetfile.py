@@ -11,8 +11,9 @@ bijection of a board spec; the board itself is reconstructed as the block X x Y
 together with every square mentioned in the file.  Under a header every
 facet must be a non-taking, cycle-free configuration of that spec, and
 a facet that is not is rejected with its line number; so is a second
-header, and a header with a key other than X, Y and alpha, a repeated
-key or a repeated label.
+header, and a header with a key other than X, Y and alpha, a key
+without ``=``, a repeated key, a repeated label or an empty entry
+between or after commas.
 
 A file without facet lines denotes the complex whose only face is the
 empty one.  The void complex has no representation and is rejected on
@@ -34,7 +35,9 @@ __all__ = ["format_complex", "read_complex", "write_complex"]
 def _parse_header(line: str) -> dict[str, str]:
     fields = {}
     for part in line[len("!spec"):].split():
-        key, _, value = part.partition("=")
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"spec header entry {part!r} has no '='")
         if key not in ("X", "Y", "alpha"):
             raise ValueError(f"spec header has unknown key {key!r}")
         if key in fields:
@@ -46,8 +49,16 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
+def _split(text: str) -> list[str]:
+    # "" has no entries (make_spec(0) is written X= Y= alpha=), "1,,2" is an error
+    tokens = text.split(",") if text else []
+    if "" in tokens:
+        raise ValueError(f"spec header has an empty entry in {text!r}")
+    return tokens
+
+
 def _parse_labels(text: str) -> list[int]:
-    labels = [int(tok) for tok in text.split(",") if tok]
+    labels = [int(tok) for tok in _split(text)]
     if len(set(labels)) != len(labels):
         raise ValueError(f"spec header repeats a label in {text!r}")
     return labels
@@ -83,7 +94,7 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
         x = _parse_labels(header["X"])
         y = _parse_labels(header["Y"])
         # pairs, not a dict, so that Bijection sees a repeated column
-        pairs = [pair.partition(":") for pair in header["alpha"].split(",") if pair]
+        pairs = [pair.partition(":") for pair in _split(header["alpha"])]
         alpha = [(int(col), int(row)) for col, _, row in pairs]
         board = {Square(r, c) for r in x for c in y}
         board.update(sq for f in facets for sq in f)

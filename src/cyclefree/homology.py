@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -1033,9 +1033,7 @@ class InducedMap:
 
     ``matrix[i][j]`` is the i-th coordinate (in the codomain's generator
     basis, orders in ``codomain_orders``, 0 meaning infinite) of the
-    image of the j-th domain generator.  ``codomain_presentation`` is the
-    presentation those coordinates refer to, for ``class_of`` on further
-    cycles of the ambient complex.
+    image of the j-th domain generator.
     """
 
     degree: int
@@ -1044,7 +1042,6 @@ class InducedMap:
     matrix: tuple[tuple[int, ...], ...]
     domain_orders: tuple[int, ...]
     codomain_orders: tuple[int, ...]
-    codomain_presentation: Presentation = field(compare=False, repr=False)
 
     @property
     def surjective(self) -> bool:
@@ -1093,5 +1090,4 @@ def induced_map(
         matrix=matrix,
         domain_orders=dom.orders,
         codomain_orders=cod.orders,
-        codomain_presentation=cod,
     )

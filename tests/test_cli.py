@@ -1,6 +1,9 @@
 """Command line round trips, exit codes, output contracts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +181,17 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_package_runs_as_a_module():
+    # the child imports the same package as this process
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "cyclefree", "verify", "--claim", "omega3-H1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "omega3-H1: pass" in done.stdout

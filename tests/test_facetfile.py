@@ -124,6 +124,41 @@ def test_header_with_an_unknown_key_rejected(tmp_path):
         read_complex(path)
 
 
+def test_header_key_without_a_value_rejected(tmp_path):
+    # skipped as an empty list, this read as the empty spec
+    path = tmp_path / "bare.facets"
+    path.write_text("!spec X Y alpha\n1,2\n")
+    with pytest.raises(ValueError, match="entry 'X' has no '='"):
+        read_complex(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        # skipped empty entries made each of these read as X = Y = {1, 2}
+        "!spec X=1,,2 Y=1,2 alpha=1:1,2:2",
+        "!spec X=1,2 Y=1,2, alpha=1:1,2:2",
+        "!spec X=1,2 Y=1,2 alpha=1:1,,2:2",
+    ],
+    ids=["X-between", "Y-after", "alpha-between"],
+)
+def test_header_with_an_empty_entry_rejected(tmp_path, header):
+    path = tmp_path / "empty.facets"
+    path.write_text(header + "\n1,2\n")
+    with pytest.raises(ValueError, match="empty entry"):
+        read_complex(path)
+
+
+def test_roundtrip_of_the_empty_spec(tmp_path):
+    # make_spec(0) is written as "!spec X= Y= alpha="
+    spec = make_spec(0)
+    c = omega(spec)
+    path = tmp_path / "empty_spec.facets"
+    write_complex(path, c, spec)
+    assert path.read_text().startswith("!spec X= Y= alpha=\n")
+    assert read_complex(path) == (c, spec)
+
+
 def test_second_header_rejected(tmp_path):
     path = tmp_path / "two.facets"
     # under the second header the loop 1,1 would pass, under the first not

@@ -435,16 +435,11 @@ class TestInducedAndRelative:
         assert homology(skeleton).group(1) == AbelianGroup(10)
         assert m.surjective
 
-    def test_codomain_presentation_is_exposed_but_not_compared(self):
+    def test_induced_maps_of_one_inclusion_are_equal(self):
         skeleton = SimplicialComplex.from_facets(RP2.faces(1))
         m = induced_map(skeleton, RP2, 1)
-        pres = m.codomain_presentation
-        assert pres.orders == m.codomain_orders == (2,)
-        gen, _ = pres.generators[0]
-        assert pres.class_of(gen) == (1,)
         again = induced_map(skeleton, RP2, 1)
         assert m == again and hash(m) == hash(again)
-        assert "codomain_presentation" not in repr(m)
 
     def test_disk_mod_boundary(self):
         res = relative_homology(DISK, CIRCLE)

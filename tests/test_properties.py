@@ -228,6 +228,46 @@ def test_f_vector_counts_the_faces(c):
     assert fv == tuple(len(c.faces(k)) for k in range(c.dim + 1))
 
 
+# spaced labels: a frozenset of them need not iterate in sorted order
+SPACED = range(0, 80, 10)
+SMALL_OR_VOID = st.one_of(complexes(SPACED[:6]), st.just(SimplicialComplex.from_facets([])))
+
+
+@st.composite
+def complex_pairs(draw):
+    """(a, b) with a independent of b, or a spanned by some faces of b."""
+    b = draw(SMALL_OR_VOID)
+    if draw(st.booleans()):
+        return draw(SMALL_OR_VOID), b
+    faces = [f for k in range(-1, b.dim + 1) for f in b.faces(k)]
+    picked = draw(st.lists(st.sampled_from(faces), max_size=4)) if faces else []
+    return SimplicialComplex.from_facets(picked), b
+
+
+@SETTINGS
+@given(SMALL_OR_VOID, st.lists(st.lists(st.sampled_from(SPACED), max_size=6), max_size=8))
+def test_face_lookup_agrees_with_the_facet_scan(c, queries):
+    # vertices 60 and 70 lie outside every complex drawn, and six
+    # vertices lie above every dimension; [] is the empty face
+    for s in [[], *c.facets, *queries]:
+        assert c.has_face(s) == any(set(s) <= f for f in c.facets), s
+    for v in SPACED:
+        assert c.has_vertex(v) == c.has_face([v]) == (v in c.vertices)
+
+
+@SETTINGS
+@given(complex_pairs())
+def test_subcomplex_lookup_agrees_with_the_facet_scan(pair):
+    a, b = pair
+    if a.is_void:
+        scan = True
+    elif b.is_void:
+        scan = False
+    else:
+        scan = all(any(f <= g for g in b.facets) for f in a.facets)
+    assert a.is_subcomplex_of(b) == scan
+
+
 @SETTINGS
 @given(complexes(range(6)), complexes(range(10, 16)))
 def test_join_multiplies_f_polynomials(k1, k2):
