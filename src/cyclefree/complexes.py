@@ -5,8 +5,11 @@ fixed dimension are enumerated as sorted vertex tuples in lexicographic
 order; every module in this package relies on that single ordering, so
 boundary matrices, chains and homology generators are all expressed in
 compatible coordinates.  They are listed as rows of positions in the
-sorted vertex tuple, sorted and deduplicated in numpy; positions follow
-the vertex order, so the rows sort exactly as the vertex tuples do.
+sorted vertex tuple, sorted and deduplicated in numpy and cached per
+degree; positions follow the vertex order, so the rows sort exactly as
+the vertex tuples do.  Face tuples are built from the rows only when a
+caller asks for them; the homology core finds faces by searching packed
+integer keys of rows (see :func:`_keys`).
 
 The empty complex comes in two flavours that matter for reduced
 homology.  The *void* complex has no faces at all, while the complex
@@ -27,7 +30,7 @@ __all__ = ["SimplicialComplex", "intersection", "join", "suspension", "union"]
 class SimplicialComplex:
     __slots__ = (
         "_facets", "_nonvoid", "_dim", "vertices",
-        "_index", "_faces", "_findex", "_maps",
+        "_index", "_rows", "_faces", "_findex", "_maps", "_matchings",
     )
 
     def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
@@ -39,9 +42,11 @@ class SimplicialComplex:
             vs.update(f)
         self.vertices = tuple(sorted(vs))
         self._index: tuple | None = None  # _index_rows, made once
+        self._rows: dict[int, np.ndarray] = {}
         self._faces: dict[int, tuple] = {}
         self._findex: dict[int, dict] = {}
         self._maps: dict[tuple, dict] = {}  # reduced boundary maps, see homology._reduce
+        self._matchings: dict = {}  # Morse matchings by subcomplex, see homology._matching
 
     # -- construction -------------------------------------------------
 
@@ -84,9 +89,10 @@ class SimplicialComplex:
 
         Degree -1 yields the single empty tuple when the complex is
         nonvoid.  Each facet is held as a sorted row of positions in
-        ``vertices``; the (k+1)-column subsets of those rows are sorted
-        and deduplicated in numpy, and since positions follow the vertex
-        order, sorted rows are sorted vertex tuples.
+        ``vertices``; the (k+1)-column subsets of those rows (or of the
+        (k+1)-faces' rows, once listed) are sorted and deduplicated in
+        numpy, and since positions follow the vertex order, sorted rows
+        are sorted vertex tuples.
 
         >>> SimplicialComplex.from_facets(["cab", "dc"]).faces(1)
         (('a', 'b'), ('a', 'c'), ('b', 'c'), ('c', 'd'))
@@ -102,19 +108,43 @@ class SimplicialComplex:
         return self._faces[k]
 
     def _face_rows(self, k: int) -> np.ndarray:
-        """The k-faces as sorted, distinct rows of vertex positions, 0 <= k <= dim."""
+        """The k-faces as sorted, distinct rows of vertex positions, cached.
+
+        Degree -1 is the one empty row of a nonvoid complex; degrees with
+        no faces give no rows.
+        """
+        rows = self._rows.get(k)
+        if rows is not None:
+            return rows
+        if k < 0 or k > self._dim:
+            return np.zeros((int(k == -1 and self._nonvoid), max(k + 1, 0)), dtype=np.intp)
         if self._index is None:
             self._index = _index_rows(self._facets, self.vertices)
+        sources = [a for a in self._index[1] if a.shape[1] > k]
+        if k + 1 in self._rows:  # a k-face is in a (k+1)-face or is a facet
+            sources = [self._rows[k + 1]] + [a for a in sources if a.shape[1] == k + 1]
         parts = []
-        for a in self._index[1]:
-            if a.shape[1] > k:
-                picks = np.array(list(combinations(range(a.shape[1]), k + 1)))
-                parts.append(a[:, picks].reshape(-1, k + 1))
+        for a in sources:
+            picks = np.array(list(combinations(range(a.shape[1]), k + 1)))
+            parts.append(a[:, picks].reshape(-1, k + 1))
         rows = np.concatenate(parts)
         rows = rows[np.lexsort(rows.T[::-1])]  # the last key is the primary one
         fresh = np.ones(len(rows), dtype=bool)
         fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return rows[fresh]
+        self._rows[k] = rows = rows[fresh]
+        return rows
+
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in faces(k) of rows of k + 1 vertex positions, sorted
+        within each row, that are all k-faces."""
+        keys, query = _keys(len(self.vertices), self._face_rows(rows.shape[1] - 1), rows)
+        return np.searchsorted(keys, query)
+
+    def _boundary_faces(self, k: int) -> np.ndarray:
+        """For each k-face and each i <= k, the position in faces(k-1) of
+        the face left by deleting its i-th vertex: an n_k x (k+1) array."""
+        rows = self._face_rows(k)
+        return np.stack([self._find(np.delete(rows, i, axis=1)) for i in range(k + 1)], axis=1)
 
     def face_index(self, k: int) -> dict:
         """Face tuple -> position within faces(k)."""
@@ -123,12 +153,12 @@ class SimplicialComplex:
         return self._findex[k]
 
     def f_vector(self) -> tuple[int, ...]:
-        """Face counts in degrees 0..dim, from the cached tuples or else
-        the index rows, so no face tuple is built."""
-        return tuple(
-            len(self._faces[k]) if k in self._faces else len(self._face_rows(k))
-            for k in range(self.dim + 1)
-        )
+        """Face counts in degrees 0..dim, from the cached rows: no face
+        tuple is built.  The rows are listed from the top degree down,
+        each from the rows above it, which repeat far less than the
+        subsets of the facets."""
+        counts = [len(self._face_rows(k)) for k in range(self.dim, -1, -1)]  # top down
+        return tuple(counts[::-1])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
@@ -184,6 +214,33 @@ def _index_rows(facets: frozenset[frozenset], vertices: tuple) -> tuple:
     # fromiter keeps a tuple-valued vertex (a Square) as one element
     labels = np.fromiter(vertices, dtype=object, count=len(vertices))
     return labels, rows
+
+
+def _keys(n: int, *parts: np.ndarray) -> list[np.ndarray]:
+    """Int64 keys of rows of positions below n, one array per part, all
+    of one width w, that order as the rows do lexicographically.
+
+    A key is the row read as w digits in base n, while that cannot
+    overflow: n**w <= 2**(w * ceil(log2 n)) <= 2**63.  Wider rows get
+    exact ranks instead, from one ``np.lexsort`` of all the parts
+    together, so equal rows still get equal keys.
+    """
+    w = parts[0].shape[1]
+    if w * (n - 1).bit_length() <= 63:
+        out = []
+        for rows in parts:
+            key = np.zeros(len(rows), dtype=np.int64)
+            for col in rows.T:
+                key = key * n + col
+            out.append(key)
+        return out
+    rows = np.concatenate(parts)
+    order = np.lexsort(rows.T[::-1])
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(fresh) - 1
+    return np.split(ranks, np.cumsum([len(p) for p in parts[:-1]]))
 
 
 def _maximal_sets(sets: Iterable[frozenset]) -> list[frozenset]:

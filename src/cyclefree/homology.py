@@ -24,20 +24,28 @@ give the cycles by back-substitution, and those of a second, of the
 routine, tracking its row transform only, sees just the two leftover
 blocks (see :class:`Presentation`).
 
-The sparse elimination works on rows and records the columns it
-pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
+:func:`boundary_matrix` assembles d_k from arrays: the k + 1 faces
+left by deleting one vertex of each k-face are found by searching
+packed integer keys among those of the (k-1)-faces, and no face tuple
+is built.  The sparse elimination works on rows and records the
+columns it pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
 :func:`rank_mod_p` hand them on as a ``pivot_cols`` attribute of their
 (otherwise plain) result.  For a boundary map d_k these are k-faces.
 :func:`homology`, :func:`betti_numbers`, :func:`relative_homology` and
 :func:`is_boundary` share one core, :func:`_reduce`.  It reduces the
 maps d_k that a query needs and does not find on the complex, which
-keeps every map it reduces, from the lowest degree up.  It uses them
-for *clearing*: a k-face that was a pivot column of d_k is a skipped
-row of d_{k+1} (rows and columns are positions in the face order),
-which keeps the row lattice of d_{k+1} and so its Smith form (see
-:func:`_reduce` for the argument).
-:func:`is_boundary` reduces that same cleared map, with the cycle it
-tests as one more column.
+keeps every map it reduces, from the lowest degree up.  Its pivots
+come from a Morse matching first: :func:`_matching` pairs the chains
+one vertex apart (Jonsson's iterated element matching, kept on the
+complex), d_k leaves out the columns of faces matched up, and each
+matched pair of a (k-1)-face and a k-face is a forced +-1 pivot, taken
+before the Markowitz rule picks the rest.  It also uses the maps for
+*clearing*: a k-face that was a pivot column of d_k is a skipped row
+of d_{k+1} (rows and columns are positions in the face order).  None
+of this changes a Smith form (see :func:`_reduce` for the argument).
+:func:`is_boundary` reduces the map d_{k+1} that :func:`_reduce` would
+reduce next, cleared, matched and forced alike, with the cycle it tests
+as one more column.
 
 Membership of a vector in the column lattice (or F_p-span) of a matrix
 takes one elimination and no transform bookkeeping: the vector goes in
@@ -49,6 +57,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -242,14 +251,20 @@ class Chain:
 
 
 class SparseIntMatrix:
-    """A sparse integer matrix stored by columns."""
+    """A sparse integer matrix stored by columns.
 
-    __slots__ = ("nrows", "ncols", "cols")
+    A boundary map from :func:`_matched_boundary` also carries its
+    forced pivots, ``_forced``: row -> column, taken first by
+    :func:`_sparse_eliminate`.  Every other matrix has none.
+    """
+
+    __slots__ = ("nrows", "ncols", "cols", "_forced")
 
     def __init__(self, nrows: int, ncols: int, cols: dict[int, dict[int, int]]):
         self.nrows = nrows
         self.ncols = ncols
         self.cols = cols
+        self._forced: dict[int, int] = {}
 
     @property
     def nnz(self) -> int:
@@ -266,6 +281,16 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
+def _mask(n: int, positions) -> np.ndarray:
+    """A set, or an integer array, of positions as a boolean mask of
+    length n; positions outside 0..n-1 mark nothing."""
+    mask = np.zeros(n, dtype=bool)
+    if not isinstance(positions, np.ndarray):
+        positions = np.fromiter(positions, dtype=np.intp, count=len(positions))
+    mask[positions[(positions >= 0) & (positions < n)]] = True
+    return mask
+
+
 def boundary_matrix(
     complex_: SimplicialComplex,
     k: int,
@@ -275,23 +300,23 @@ def boundary_matrix(
     """The degree-k boundary matrix, (k-1)-faces by k-faces.
 
     Rows and columns are positions in ``faces(k - 1)`` and ``faces(k)``.
-    Those in ``skip_rows`` and ``skip_cols`` get no entries (clearing,
-    relative chains); the others keep theirs, in a shape n_{k-1} x n_k.
+    Those in ``skip_rows`` and ``skip_cols`` (sets or integer arrays of
+    positions) get no entries (clearing, relative chains); the others
+    keep theirs, in a shape n_{k-1} x n_k.  The rows of a column are
+    found by searching the keys of its k + 1 deleted-vertex faces among
+    those of faces(k - 1); no face tuple is built.
     """
-    faces = complex_.faces(k)
-    row_index = complex_.face_index(k - 1)
-    data: dict[int, dict[int, int]] = {}
-    for j, face in enumerate(faces):
-        if j in skip_cols:
-            continue
-        col: dict[int, int] = {}
-        for i in range(len(face)):
-            r = row_index[face[:i] + face[i + 1:]]
-            if r not in skip_rows:
-                col[r] = (-1) ** i
-        if col:
-            data[j] = col
-    return SparseIntMatrix(len(row_index), len(faces), data)
+    nrows, ncols = len(complex_._face_rows(k - 1)), len(complex_._face_rows(k))
+    if not nrows or not ncols:
+        return SparseIntMatrix(nrows, ncols, {})
+    cols = np.flatnonzero(~_mask(ncols, skip_cols))
+    at = complex_._boundary_faces(k)[cols]
+    kept = ~_mask(nrows, skip_rows)[at]
+    signs = tuple((-1) ** i for i in range(k + 1))
+    entries = map(dict, map(compress, map(zip, at.tolist(), repeat(signs)), kept.tolist()))
+    return SparseIntMatrix(
+        nrows, ncols, {j: col for j, col in zip(cols.tolist(), entries) if col}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +377,13 @@ def _sparse_eliminate(
     Column ``keep``, if given, is reduced like any other but never holds
     a pivot; a row left with entries in it alone is in ``leftover``.
 
-    Pivots are chosen by a Markowitz-flavoured heuristic: shortest row
-    first, then the entry of smallest column occupancy (restricted to
-    units over Z).
+    The matrix's forced pivots (row -> column, see :func:`_reduce`) come
+    first, shortest row first by the lengths the rows start with; a
+    forced entry that is not a unit when its row comes up (the matching
+    rules that out) leaves the row to the rule for the others.  The rest
+    are chosen by a Markowitz-flavoured heuristic: shortest row first,
+    then the entry of smallest column occupancy (restricted to units
+    over Z).
     """
     rows: dict[int, dict[int, int]] = {}
     colocc: dict[int, set[int]] = {}
@@ -365,24 +394,31 @@ def _sparse_eliminate(
             rows.setdefault(i, {})[j] = v
         if col:
             colocc[j] = set(col)
-    heap = [(len(row), i) for i, row in rows.items()]
+    forced = dict(matrix._forced)  # the forced rows still to come
+    queue = sorted(((len(rows[i]), i) for i in forced if i in rows), reverse=True)
+    heap = [(len(row), i) for i, row in rows.items() if i not in forced]
     heapq.heapify(heap)
     pivot_cols: list[int] = []
-    while heap:
-        nnz, i = heapq.heappop(heap)
-        row = rows.get(i)
+    while queue or heap:
+        if queue:
+            i = queue.pop()[1]
+            row, c = rows.get(i), forced.pop(i)
+        else:
+            nnz, i = heapq.heappop(heap)
+            row, c = rows.get(i), None
+            if row is not None and len(row) != nnz:
+                heapq.heappush(heap, (len(row), i))
+                continue
         if row is None:
             continue
-        if len(row) != nnz:
-            heapq.heappush(heap, (len(row), i))
-            continue
-        if p:
-            candidates = row if keep is None else [j for j in row if j != keep]
-        else:
-            candidates = [j for j, v in row.items() if (v == 1 or v == -1) and j != keep]
-        if not candidates:
-            continue  # pushed again if an update changes it
-        c = min(candidates, key=lambda j: len(colocc[j]))
+        if c not in row or not (p or row[c] == 1 or row[c] == -1):
+            if p:
+                candidates = row if keep is None else [j for j in row if j != keep]
+            else:
+                candidates = [j for j, v in row.items() if (v == 1 or v == -1) and j != keep]
+            if not candidates:
+                continue  # pushed again if an update changes it
+            c = min(candidates, key=lambda j: len(colocc[j]))
         inv = pow(row[c], -1, p) if p else row[c]  # +-1 is its own inverse
         for t in colocc[c] - {i}:
             trow = rows[t]
@@ -399,7 +435,8 @@ def _sparse_eliminate(
                     del trow[j]
                     colocc[j].discard(t)
             if trow:
-                heapq.heappush(heap, (len(trow), t))
+                if t not in forced:
+                    heapq.heappush(heap, (len(trow), t))
             else:
                 # each entry left colocc as it was zeroed above
                 del rows[t]
@@ -506,7 +543,9 @@ def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
     """
     j = matrix.ncols
     cols = {**matrix.cols, j: {i: v for i, v in col.items() if v}}
-    _, leftover = _sparse_eliminate(SparseIntMatrix(matrix.nrows, j + 1, cols), p, keep=j)
+    extended = SparseIntMatrix(matrix.nrows, j + 1, cols)
+    extended._forced = matrix._forced  # z's column is never a forced one
+    _, leftover = _sparse_eliminate(extended, p, keep=j)
     if not any(j in row for row in leftover.values()):
         return True
     if p:
@@ -685,6 +724,78 @@ class _Map(NamedTuple):
     pivot_cols: frozenset[int]
 
 
+def _matching(
+    complex_: SimplicialComplex, sub: Optional[SimplicialComplex]
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The chains of the pair (complex, sub), and an acyclic matching on them.
+
+    Returns ``(chains, up)`` by degree -1..dim+1: ``chains[k]`` masks the
+    k-faces that are chains (see :func:`_reduce`), and ``up[k]`` holds,
+    for each k-face, the position in faces(k+1) of the face it is matched
+    up to, or -1.  Both are computed once and kept on the complex by
+    ``sub``.
+
+    The matching is the iterated element matching (Jonsson, *Simplicial
+    Complexes of Graphs*, ch. 4): for each vertex v in position order,
+    every chain s without v that is still unmatched is paired with s + v
+    when that is a chain still unmatched.  Jonsson shows the union of
+    the steps is acyclic for any family of sets, the chains of a pair
+    among them.  In the step of v a face with v can only be matched
+    down and one without v only up, so the degrees do not interact
+    there, and each is one vector step: the (k+1)-faces holding v,
+    grouped by vertex once, reach s through the boundary index
+    (``_boundary_faces``) at the column that holds v.
+    """
+    found = complex_._matchings.get(sub)
+    if found is not None:
+        return found
+    if sub is not None:
+        position = {v: i for i, v in enumerate(complex_.vertices)}
+        inside = np.array([position[v] for v in sub.vertices], dtype=np.intp)
+    chains, up = {}, {}
+    for k in range(complex_.dim + 1, -2, -1):  # top down, see SimplicialComplex.f_vector
+        chains[k] = np.full(len(complex_._face_rows(k)), sub is None or k >= 0)
+        if sub is not None and k >= 0:
+            chains[k][complex_._find(inside[sub._face_rows(k)])] = False
+        up[k] = np.full(len(chains[k]), -1, dtype=np.intp)
+    free = {k: chain.copy() for k, chain in chains.items()}
+    holders = {}  # degree -> (faces, the faces they cover, group bounds by vertex)
+    for k in range(0, complex_.dim + 1):
+        rows = complex_._face_rows(k)
+        flat = np.argsort(rows, axis=None, kind="stable")
+        faces, col = np.divmod(flat, k + 1)
+        bounds = np.searchsorted(rows.ravel()[flat], np.arange(len(complex_.vertices) + 1))
+        holders[k] = faces, complex_._boundary_faces(k)[faces, col], bounds
+    for v in range(len(complex_.vertices)):
+        for k, (faces, covered, bounds) in holders.items():
+            t, s = faces[bounds[v]:bounds[v + 1]], covered[bounds[v]:bounds[v + 1]]
+            both = free[k][t] & free[k - 1][s]
+            t, s = t[both], s[both]
+            free[k][t] = free[k - 1][s] = False
+            up[k - 1][s] = t
+    complex_._matchings[sub] = chains, up
+    return chains, up
+
+
+def _matched_boundary(
+    complex_: SimplicialComplex,
+    k: int,
+    sub: Optional[SimplicialComplex],
+    cleared: frozenset[int],
+) -> SparseIntMatrix:
+    """d_k of the pair as :func:`_reduce` reduces it: rows and columns
+    that are not chains, the ``cleared`` rows and the columns of k-faces
+    matched up are left out, and the matched pairs below ride along as
+    forced pivots."""
+    chains, up = _matching(complex_, sub)
+    skip_rows = ~chains[k - 1] | _mask(len(chains[k - 1]), cleared)
+    skip_cols = ~chains[k] | (up[k] >= 0)
+    mat = boundary_matrix(complex_, k, np.flatnonzero(skip_rows), np.flatnonzero(skip_cols))
+    matched = np.flatnonzero(up[k - 1] >= 0)
+    mat._forced = dict(zip(matched.tolist(), up[k - 1][matched].tolist()))
+    return mat
+
+
 def _reduce(
     complex_: SimplicialComplex,
     degrees: Sequence[int],
@@ -702,45 +813,67 @@ def _reduce(
     r_{k+1}, n_k counting the chains, and the torsion of d_{k+1}.  The
     maps stay on the complex, by ``(field, sub)`` and then by degree, so
     each is reduced once; the dict of them is returned for reading.
-    ``pivot_cols`` are positions in faces(k).
+    ``pivot_cols`` are positions in faces(k).  Below, d is the
+    differential of these chains, and rows and columns are chains.
 
-    Each map d_k is reduced by rows, so its pivots are k-faces.  The
-    maps go from the lowest degree up, and d_k skips as rows the
-    (k-1)-faces that were pivot columns of d_{k-1}, if it is known
-    (*clearing*, after Chen and Kerber; eliminating rows of d_k is
-    reducing the coboundary, as in de Silva, Morozov and
-    Vejdemo-Johansson).  This is exact.  Let P be the pivot rows of
-    d_{k-1}, as they stood when chosen: each is a combination of rows of
-    d_{k-1}, integral over Z, so P d_k = 0, since d_{k-1} d_k = 0.
-    Restricted to the pivot columns C, P is triangular, and each pivot
-    row carries a unit on its pivot column (+-1 over Z, nonzero mod p),
-    hence P[:, C] is invertible over Z (over F_p).  Splitting P d_k = 0
-    along C and the other columns N gives d_k[C] = -P[:, C]^-1 P[:, N]
-    d_k[N], so every dropped row is an integer (F_p-) combination of the
-    kept ones.  Row operations turn d_k into d_k[N] above zero rows, so
-    its Smith form (rank) is unchanged.  A map is computed only when
-    ``degrees`` need it, never just to clear the one above.
+    Each map d_k is reduced by rows, so its pivots are k-faces.  Three
+    rules shape the work; none changes the Smith form (rank) of d_k.
+
+    *Clearing.*  The maps go from the lowest degree up, and d_k skips as
+    rows the (k-1)-faces that were pivot columns of d_{k-1}, if it is
+    known (after Chen and Kerber; eliminating rows of d_k is reducing
+    the coboundary, as in de Silva, Morozov and Vejdemo-Johansson).  The
+    pivot rows of d_{k-1}, as they stood when chosen, are W d_{k-1} on
+    the columns it kept, for an integral (F_p) W.  Q = W d_{k-1} has
+    Q d_k = 0, since d_{k-1} d_k = 0, and on the pivot columns C it is
+    triangular with a unit on each pivot column (+-1 over Z, nonzero
+    mod p), hence Q[:, C] is invertible over Z (over F_p).  Splitting
+    Q d_k = 0 along C and the other rows N gives d_k[C] = -Q[:, C]^-1
+    Q[:, N] d_k[N], so every dropped row is an integer (F_p-)
+    combination of the kept ones.  Row operations turn d_k into d_k[N]
+    above zero rows.  A map is computed only when ``degrees`` need it,
+    never just to clear the one above.
+
+    *Matched columns.*  :func:`_matching` pairs chains s < t one degree
+    apart, each pair an elementary reduction (Kaczynski, Mrozek and
+    Slusarek).  d_k leaves out the columns of the k-faces U matched up
+    to (k+1)-faces T.  Since the matching is acyclic and d t = +-s + ...
+    for a pair, d_{k+1}[U, T] is triangular with +-1 on the diagonal
+    once the pairs are ordered, so invertible over Z.  Splitting d_k
+    d_{k+1}[:, T] = 0 along U and the other columns N gives d_k[:, U] =
+    -d_k[:, N] d_{k+1}[N, T] d_{k+1}[U, T]^-1: an integral combination of
+    the kept columns, in every row, so also after clearing.  Column
+    operations turn d_k into d_k[:, N] beside zero columns.
+
+    *Forced pivots.*  Each (k-1)-face s matched up to a k-face t pivots
+    on column t first (see :func:`_sparse_eliminate`); the pairs ride on
+    the matrix (see :func:`_matched_boundary`).  The forced block, d_k on these rows and
+    columns, is triangular with +-1 on the diagonal as above.
+    Eliminating one of its pivots changes it by a Schur complement,
+    whose update touches entries whose row comes after the pivot in the
+    triangular order and whose column comes before it: never the
+    diagonal, and the block stays triangular.  So in any order of forced
+    eliminations each forced entry is still +-1 (a unit mod p) when its
+    row comes up.  Clearing never drops a forced row: d_{k-1} leaves
+    the matched-up (k-1)-faces out as columns, so none is its pivot.
     """
     needed = sorted({d for k in degrees for d in (k, k + 1)})
-    outside: dict[int, frozenset[int]] = {}  # positions in faces(k) that are not chains
-    for k in {d - e for d in needed for e in (0, 1)}:
-        gone = () if sub is None else complex_.faces(k) if k < 0 else sub.faces(k)
-        outside[k] = frozenset(complex_.face_index(k)[f] for f in gone)
-    n = {k: len(complex_.faces(k)) - len(out) for k, out in outside.items()}
+    chains, _ = _matching(complex_, sub)
+    n = {k: int(chains[k].sum()) if k in chains else 0 for d in needed for k in (d - 1, d)}
     maps: dict[int, _Map] = complex_._maps.setdefault((field, sub), {})
     for k in [d for d in needed if d not in maps]:
         cleared = maps[k - 1].pivot_cols if k - 1 in maps else frozenset()
         if not n[k] or n[k - 1] == len(cleared):
             maps[k] = _Map(0, (), frozenset())
+            continue
+        mat = _matched_boundary(complex_, k, sub, cleared)
+        if field is None:
+            result = snf(mat)
+            torsion = tuple(f for f in result if f > 1)
+            maps[k] = _Map(len(result), torsion, frozenset(result.pivot_cols))
         else:
-            mat = boundary_matrix(complex_, k, outside[k - 1] | cleared, outside[k])
-            if field is None:
-                result = snf(mat)
-                torsion = tuple(f for f in result if f > 1)
-                maps[k] = _Map(len(result), torsion, frozenset(result.pivot_cols))
-            else:
-                result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
-                maps[k] = _Map(int(result), (), frozenset(result.pivot_cols))
+            result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
+            maps[k] = _Map(int(result), (), frozenset(result.pivot_cols))
     groups = {
         k: AbelianGroup(n[k] - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
         for k in degrees
@@ -865,14 +998,16 @@ def is_boundary(
     arithmetic (d_k z = 0, or = 0 mod p), which is checked first.  Then
     d_0, ..., d_k are reduced from the bottom up as in :func:`_reduce`,
     and z is tested on the k-faces N that were not pivot columns of d_k:
-    the cleared map d_{k+1}[N] (the pivots skipped as rows) that
-    :func:`_reduce` would reduce next, with z_N as one more column (see
-    :func:`_in_span`).  That is exact.
-    Let P be the pivot rows of d_k as they stood when chosen, so
-    P = W d_k for an integral (F_p) W, and C their pivot columns.  A
-    k-cycle x has P x = W d_k x = 0, and P[:, C] is triangular with a
-    unit on each pivot column (+-1 over Z, nonzero mod p), so x_C is
-    fixed by x_N: dropping C is injective on cycles.
+    the map d_{k+1}[N] that :func:`_reduce` would reduce next (the
+    pivots skipped as rows, the columns matched up left out, the matched
+    pairs forced), with z_N as one more column (see :func:`_in_span`).
+    Leaving out matched columns keeps the column lattice, in every row
+    (see :func:`_reduce`).  That is exact.
+    The pivot rows of d_k as they stood when chosen are W d_k on the
+    columns it kept, for an integral (F_p) W; let C be their pivot
+    columns.  A k-cycle x has W d_k x = 0, and W d_k is triangular on C
+    with a unit on each pivot column (+-1 over Z, nonzero mod p), so
+    x_C is fixed by the rest of x: dropping C is injective on cycles.
     If z_N = d_{k+1}[N] y, then z - d_{k+1} y is a cycle that vanishes
     on N, hence zero.  So z bounds iff z_N lies in the column lattice
     (space) of d_{k+1}[N].
@@ -885,7 +1020,7 @@ def is_boundary(
     _, maps = _reduce(complex_, range(-1, k), mod or None)
     pivots = maps[k].pivot_cols if k in maps else frozenset()
     vec = {i: c for i, c in vec.items() if i not in pivots}
-    return _in_span(boundary_matrix(complex_, k + 1, skip_rows=pivots), vec, mod)
+    return _in_span(_matched_boundary(complex_, k + 1, None, pivots), vec, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ from .builders import (
     multicycles,
     omega,
     sym,
-    theta,
     theta1,
     theta2,
 )
-from .complexes import SimplicialComplex, intersection
+from .complexes import SimplicialComplex, intersection, union
 from .generators import odd_sphere, tight_sphere, two_sphere
 from .homology import (
     AbelianGroup,
@@ -179,7 +178,9 @@ def _complex(key: str) -> SimplicialComplex:
         return delta(full_board(r, c))
     if head == "fp":
         return filtration_level(parts[1], int(parts[2]), int(parts[3]))
-    by_size = dict(theta=theta, theta1=theta1, theta2=theta2, sym=sym, dm=directed_matching)
+    if head == "theta":  # the union of its two cached halves
+        return union(_complex(f"theta1-{parts[1]}"), _complex(f"theta2-{parts[1]}"))
+    by_size = dict(theta1=theta1, theta2=theta2, sym=sym, dm=directed_matching)
     if head in by_size:
         return by_size[head](int(parts[1]))
     raise ValueError(f"unknown complex key: {key!r}")

@@ -1,0 +1,220 @@
+"""Array face keys, boundary assembly from them, and the Morse matching.
+
+``boundary_matrix`` finds the rows of each column by searching packed
+integer keys of its deleted-vertex faces; the reference here builds the
+same matrix from face tuples and ``Chain.boundary``.  The homology core
+pairs chains by the iterated element matching and drops or forces
+pivots by it; the guards check what that relies on: a matching of
+chains, one vertex apart, acyclic, and no fewer critical faces than
+Betti numbers, with the Euler characteristic kept.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cyclefree import (
+    Chain,
+    SimplicialComplex,
+    betti_numbers,
+    boundary_matrix,
+    dense_snf,
+    rank_mod_p,
+    snf,
+)
+from cyclefree.complexes import _keys
+from cyclefree.homology import _matching, _reduce
+
+from test_clearing import pairs, skips
+from test_homology import RP2
+from test_properties import matrices
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+EMPTY_FACE = SimplicialComplex.from_facets([[]])
+
+# 257 vertices: faces of 8 vertices need 8 * 9 = 72 bits, and 257**8 >= 2**63
+WIDE = SimplicialComplex.from_facets([range(9)] + [[v] for v in range(9, 257)])
+
+
+def reference(c, k, skip_rows=frozenset(), skip_cols=frozenset()):
+    """Shape and columns of d_k, from face tuples and ``Chain.boundary``."""
+    rows = c.face_index(k - 1)
+    cols = {}
+    for j, face in enumerate(c.faces(k)):
+        if j in skip_cols:
+            continue
+        boundary = Chain.from_simplex(face).boundary().items()
+        col = {rows[f]: v for f, v in boundary if rows[f] not in skip_rows}
+        if col:
+            cols[j] = col
+    return len(rows), len(c.faces(k)), cols
+
+
+def assembled(c, k, skip_rows=frozenset(), skip_cols=frozenset()):
+    m = boundary_matrix(c, k, skip_rows, skip_cols)
+    assert list(m.cols) == sorted(m.cols)
+    return m.nrows, m.ncols, m.cols
+
+
+@SETTINGS
+@given(skips())
+def test_boundary_matrix_equals_the_tuple_reference(case):
+    c, k, skip_rows, skip_cols = case
+    assert assembled(c, k) == reference(c, k)
+    want = reference(c, k, skip_rows, skip_cols)
+    assert assembled(c, k, skip_rows, skip_cols) == want
+    # positions may also come as integer arrays, as the homology core passes them
+    as_array = [np.array(sorted(s), dtype=np.intp) for s in (skip_rows, skip_cols)]
+    assert assembled(c, k, *as_array) == want
+    # and positions outside the matrix mark nothing
+    nrows, ncols = want[:2]
+    assert assembled(c, k, skip_rows | {-1, nrows}, skip_cols | {-2, ncols + 1}) == want
+
+
+def test_wide_faces_take_the_exact_key_fallback():
+    n = len(WIDE.vertices)
+    assert 8 * (n - 1).bit_length() > 63 and n**8 >= 2**63
+    for k in range(-1, WIDE.dim + 2):
+        assert assembled(WIDE, k) == reference(WIDE, k)
+    # d_8 is the 8-simplex's boundary column, over faces of 8 vertices
+    for skip_rows, skip_cols in [(frozenset(range(0, 9, 2)), frozenset()), (frozenset(), {0})]:
+        assert assembled(WIDE, 8, skip_rows, skip_cols) == reference(WIDE, 8, skip_rows, skip_cols)
+    # an 8-simplex and 248 isolated points
+    assert betti_numbers(WIDE) == {-1: 0, 0: 248, **{k: 0 for k in range(1, 9)}}
+
+
+def test_keys_order_as_the_rows_and_never_overflow():
+    # 7 digits in base 512 fit exactly: the largest key is 2**63 - 1
+    top = np.full((1, 7), 511)
+    rows = np.concatenate([np.zeros((1, 7), dtype=int), top - np.eye(7, dtype=int)[::-1][:1], top])
+    keys = _keys(512, rows)[0]
+    assert keys.dtype == np.int64 and keys[-1] == 2**63 - 1
+    assert list(np.argsort(keys)) == [0, 1, 2]
+    # 8 digits of 8 bits would reach 2**64 - 1: ranks instead, in order
+    assert _keys(256, np.array([[255] * 8, [0] * 8]))[0].tolist() == [1, 0]
+    # one more vertex needs 10 bits a digit, so the keys become exact ranks
+    wide = np.array([[512] * 7, [0] * 7, [512] * 6 + [3]])
+    faces, query = _keys(513, wide, wide[::-1])
+    assert faces.tolist() == [2, 0, 1] and query.tolist() == [1, 0, 2]
+
+
+# ---------------------------------------------------------------------------
+# the matching
+
+
+def critical(c, sub):
+    """Per degree, the chains the matching leaves unmatched."""
+    chains, up = _matching(c, sub)
+    down = {k: np.zeros(len(m), dtype=bool) for k, m in chains.items()}
+    for k, partner in up.items():
+        if k + 1 in down:
+            down[k + 1][partner[partner >= 0]] = True
+    return {k: int((m & (up[k] < 0) & ~down[k]).sum()) for k, m in chains.items()}
+
+
+@st.composite
+def matched(draw):
+    """A complex and the ``sub`` of one route through the homology core."""
+    c, sub = draw(pairs())
+    return c, draw(st.sampled_from([None, EMPTY_FACE, sub]))
+
+
+@SETTINGS
+@given(matched())
+def test_the_matching_pairs_chains_one_vertex_apart_once(case):
+    c, sub = case
+    chains, up = _matching(c, sub)
+    for k, partner in up.items():
+        s = np.flatnonzero(partner >= 0)
+        if not len(s):
+            continue
+        t = partner[s]
+        assert len(set(t.tolist())) == len(t)
+        assert chains[k][s].all() and chains[k + 1][t].all()
+        # no face is matched both up and down
+        if k - 1 in up:
+            assert not np.isin(s, up[k - 1]).any()
+        faces, above = c.faces(k), c.faces(k + 1)
+        for i, j in zip(s.tolist(), t.tolist()):
+            assert set(faces[i]) < set(above[j]) and len(above[j]) == len(faces[i]) + 1
+    assert (sub is None) == bool(chains[-1].all())
+
+
+@SETTINGS
+@given(matched())
+def test_the_matching_is_acyclic(case):
+    # Pairs (s, t) of one degree, with an edge from (s, t) to (s', t')
+    # when s' is a facet of t: peeling pairs that no other pair points
+    # into must use them all up, which orders d[U, T] triangular.
+    c, sub = case
+    _, up = _matching(c, sub)
+    for k, partner in up.items():
+        matching = {int(s): int(t) for s, t in enumerate(partner) if t >= 0}
+        if not matching:
+            continue
+        facets = c._boundary_faces(k + 1)
+        into = {s: 0 for s in matching}
+        edges = {}
+        for s, t in matching.items():
+            edges[s] = [f for f in set(facets[t].tolist()) if f != s and f in matching]
+            for f in edges[s]:
+                into[f] += 1
+        ready = [s for s, d in into.items() if not d]
+        seen = 0
+        while ready:
+            s = ready.pop()
+            seen += 1
+            for f in edges[s]:
+                into[f] -= 1
+                if not into[f]:
+                    ready.append(f)
+        assert seen == len(matching)
+
+
+@SETTINGS
+@given(matched())
+def test_critical_faces_bound_the_betti_numbers_and_keep_euler(case):
+    c, sub = case
+    crit = critical(c, sub)
+    chains, _ = _matching(c, sub)
+    degrees = range(-1 if sub is None else 0, c.dim + 1)
+    for field in (0, 2):
+        groups = _reduce(c, degrees, field, sub)[0]
+        assert all(crit[k] >= g.rank for k, g in groups.items())
+    euler = sum((-1) ** k * int(m.sum()) for k, m in chains.items())
+    assert sum((-1) ** k * n for k, n in crit.items()) == euler
+
+
+@pytest.mark.parametrize(
+    "c",
+    [SimplicialComplex.from_facets(combinations(range(3), 2)), RP2],
+    ids=["circle", "RP2"],
+)
+def test_circle_and_rp2_keep_a_critical_edge(c):
+    for sub in (None, EMPTY_FACE):
+        assert critical(c, sub)[1] >= 1
+
+
+@st.composite
+def hinted(draw):
+    """A small integer matrix and forced pivots on any of its entries, units or not."""
+    dense, m = draw(matrices(max_size=6, entries=st.integers(-3, 3)))
+    entries = [(i, j) for j, col in m.cols.items() for i in col]
+    if entries:
+        once = (lambda e: e[0], lambda e: e[1])  # one per row and per column
+        m._forced = dict(draw(st.lists(st.sampled_from(entries), unique_by=once)))
+    return dense, m
+
+
+@SETTINGS
+@given(hinted())
+def test_forced_pivots_change_no_smith_form_or_rank(case):
+    # forced pivots only order the elimination; one that is not a unit
+    # when its row comes up goes to the rule for the other rows
+    dense, m = case
+    assert snf(m) == dense_snf(dense)
+    for p in (2, 3):
+        assert rank_mod_p(m, p) == sum(1 for d in dense_snf(dense) if d % p)

@@ -1,9 +1,11 @@
 """Connectivity bound helpers, the claim executors and the claim runner."""
 
+import importlib
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -122,6 +124,26 @@ class TestExecutors:
         ok, _, computed = _exec_snf_oracle()
         assert ok
         assert computed == "85 matrices agree across 25 complexes"
+
+    def test_theta_halves_are_built_once_per_run(self, monkeypatch):
+        # theta-n is the union of the cached theta1-n and theta2-n; a
+        # build anywhere, builders.theta included, is counted
+        verify = importlib.import_module("cyclefree.verify")
+        builders = importlib.import_module("cyclefree.builders")
+        built = Counter()
+        for name in ("theta1", "theta2"):
+            build = getattr(builders, name)
+
+            def counted(n, name=name, build=build):
+                built[name, n] += 1
+                return build(n)
+
+            for module in (verify, builders):
+                monkeypatch.setattr(module, name, counted)
+        verify._complex.cache_clear()
+        claims = [f"theta{n}-decomposition" for n in (5, 6, 7)] + ["snf-oracle"]
+        assert [r.status for r in run_claims(claims)] == ["pass"] * 4
+        assert built == {(name, n): 1 for name in ("theta1", "theta2") for n in (5, 6, 7)}
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_theta_equals_its_definition_and_not_one_half(self, n):
