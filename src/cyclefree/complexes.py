@@ -299,7 +299,8 @@ def _fresh_pair(vertices: Sequence) -> tuple:
         top = max(vertices, default=0)
         return top + 1, top + 2
     if all(isinstance(v, str) for v in vertices):
-        return "pole+", "pole-"
+        top = max(vertices, default="")
+        return top + "+", top + "-"
     raise ValueError("cannot invent suspension poles for mixed vertex types")
 
 

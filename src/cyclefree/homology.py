@@ -27,25 +27,20 @@ blocks (see :class:`Presentation`).
 :func:`boundary_matrix` assembles d_k from arrays: the k + 1 faces
 left by deleting one vertex of each k-face are found by searching
 packed integer keys among those of the (k-1)-faces, and no face tuple
-is built.  The sparse elimination works on rows and records the
-columns it pivoted on, in pivot order; :func:`snf`, :func:`rank_z` and
-:func:`rank_mod_p` hand them on as a ``pivot_cols`` attribute of their
-(otherwise plain) result.  For a boundary map d_k these are k-faces.
-:func:`homology`, :func:`betti_numbers`, :func:`relative_homology` and
-:func:`is_boundary` share one core, :func:`_reduce`.  It reduces the
-maps d_k that a query needs and does not find on the complex, which
-keeps every map it reduces, from the lowest degree up.  Its pivots
-come from a Morse matching first: :func:`_matching` pairs the chains
-one vertex apart (Jonsson's iterated element matching, kept on the
-complex), d_k leaves out the columns of faces matched up, and each
-matched pair of a (k-1)-face and a k-face is a forced +-1 pivot, taken
-before the Markowitz rule picks the rest.  It also uses the maps for
-*clearing*: a k-face that was a pivot column of d_k is a skipped row
-of d_{k+1} (rows and columns are positions in the face order).  None
-of this changes a Smith form (see :func:`_reduce` for the argument).
-:func:`is_boundary` reduces the map d_{k+1} that :func:`_reduce` would
-reduce next, cleared, matched and forced alike, with the cycle it tests
-as one more column.
+is built.  The sparse elimination works on rows, so the pivots of a
+boundary map d_k are k-faces.  :func:`homology`, :func:`betti_numbers`
+and :func:`relative_homology` share one core, :func:`_reduce`.  It
+reduces the maps d_k that a query needs and does not find on the
+complex, which keeps every map it reduces.  Each map is shaped by a
+Morse matching alone: :func:`_matching` pairs the chains one vertex
+apart (Jonsson's iterated element matching, kept on the complex), d_k
+leaves out the rows of faces matched down and the columns of faces
+matched up, and each matched pair of a (k-1)-face and a k-face is a
+forced +-1 pivot, taken before the Markowitz rule picks the rest (rows
+and columns are positions in the face order).  None of this changes a
+Smith form (see :func:`_reduce` for the argument).  :func:`is_boundary`
+reduces the one map d_{k+1}, shaped the same way, with the cycle it
+tests as one more column.
 
 Membership of a vector in the column lattice (or F_p-span) of a matrix
 takes one elimination and no transform bookkeeping: the vector goes in
@@ -301,7 +296,7 @@ def boundary_matrix(
 
     Rows and columns are positions in ``faces(k - 1)`` and ``faces(k)``.
     Those in ``skip_rows`` and ``skip_cols`` (sets or integer arrays of
-    positions) get no entries (clearing, relative chains); the others
+    positions) get no entries (matched faces, relative chains); the others
     keep theirs, in a shape n_{k-1} x n_k.  The rows of a column are
     found by searching the keys of its k + 1 deleted-vertex faces among
     those of faces(k - 1); no face tuple is built.
@@ -361,10 +356,9 @@ def _sparse_eliminate(
     Returns ``(pivot_cols, leftover)``.  ``pivot_cols`` lists the column
     of each pivot in pivot order.  A pivot row carries a unit on its
     pivot column: +-1 over Z, any nonzero entry mod p.  Once a column is
-    pivoted on, every other row is cleared in it, so the pivot rows (as
+    pivoted on, every other row is zeroed in it, so the pivot rows (as
     they stood when chosen) restricted to the pivot columns form a
-    triangular matrix with a unit diagonal; :func:`_reduce` relies on
-    that to clear the next boundary map up, and :class:`Presentation`
+    triangular matrix with a unit diagonal; :class:`Presentation`
     solves with them: a ``pivot_rows`` list, if given, receives them as
     dicts, in pivot order.  ``leftover`` maps each other nonzero row to
     its entries as they end, all zero on the pivot columns.  Over F_p
@@ -453,25 +447,10 @@ def _sparse_eliminate(
     return pivot_cols, rows
 
 
-class _Rank(int):
-    """A rank that also carries the sparse stage's ``pivot_cols``."""
-
-
-class _Factors(tuple):
-    """Invariant factors that also carry the sparse stage's ``pivot_cols``."""
-
-
-def _with_pivots(value, pivot_cols: list[int]):
-    out = _Factors(value) if isinstance(value, tuple) else _Rank(value)
-    out.pivot_cols = pivot_cols
-    return out
-
-
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank over the prime field F_p, with ``pivot_cols`` attached."""
+    """Rank over the prime field F_p."""
     p = _check_prime(p)
-    pivot_cols, _ = _sparse_eliminate(matrix, p)
-    return _with_pivots(len(pivot_cols), pivot_cols)
+    return len(_sparse_eliminate(matrix, p)[0])
 
 
 def _leftover_block(leftover: dict[int, dict[int, int]]) -> tuple[list[int], np.ndarray]:
@@ -489,37 +468,26 @@ def _leftover_block(leftover: dict[int, dict[int, int]]) -> tuple[list[int], np.
     return touched, dense
 
 
-def _smith_factors(matrix: SparseIntMatrix) -> tuple[list[int], tuple[int, ...]]:
-    """The sparse stage's pivot columns, and the invariant factors.
-
-    Unit pivots are split off sparsely; whatever remains (entries all of
-    absolute value >= 2) is finished by the dense reduction.  The two
-    stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
-    factors are the 1s followed by those of the leftover block.
+def _smith_factors(matrix: SparseIntMatrix) -> tuple[int, ...]:
+    """The invariant factors: unit pivots are split off sparsely, and
+    whatever remains (entries all of absolute value >= 2) is finished by
+    the dense reduction.  The two stages are glued by ``diag(1,...,1) (+)
+    leftover``, whose invariant factors are the 1s followed by those of
+    the leftover block.
     """
     pivot_cols, leftover = _sparse_eliminate(matrix)
     rest = dense_snf(_leftover_block(leftover)[1]) if leftover else ()
-    return pivot_cols, (1,) * len(pivot_cols) + rest
+    return (1,) * len(pivot_cols) + rest
 
 
 def rank_z(matrix: SparseIntMatrix) -> int:
-    """Exact rank over Z (equivalently over Q): the number of invariant factors.
-
-    The result carries the unit-pivot columns of the sparse stage as
-    ``pivot_cols``.
-    """
-    pivot_cols, factors = _smith_factors(matrix)
-    return _with_pivots(len(factors), pivot_cols)
+    """Exact rank over Z (equivalently over Q): the number of invariant factors."""
+    return len(_smith_factors(matrix))
 
 
 def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
-    """Invariant factors of an integer matrix (Smith normal form diagonal).
-
-    The result carries the columns of the sparse unit pivots as
-    ``pivot_cols``.
-    """
-    pivot_cols, factors = _smith_factors(matrix)
-    return _with_pivots(factors, pivot_cols)
+    """Invariant factors of an integer matrix (Smith normal form diagonal)."""
+    return _smith_factors(matrix)
 
 
 def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
@@ -717,11 +685,10 @@ class HomologyResult:
 
 
 class _Map(NamedTuple):
-    """A reduced boundary map d_k, and the k-faces that were its pivot columns."""
+    """A reduced boundary map d_k: its rank and its torsion factors."""
 
     rank: int
     torsion: tuple[int, ...]
-    pivot_cols: frozenset[int]
 
 
 def _matching(
@@ -778,17 +745,16 @@ def _matching(
 
 
 def _matched_boundary(
-    complex_: SimplicialComplex,
-    k: int,
-    sub: Optional[SimplicialComplex],
-    cleared: frozenset[int],
+    complex_: SimplicialComplex, k: int, sub: Optional[SimplicialComplex]
 ) -> SparseIntMatrix:
     """d_k of the pair as :func:`_reduce` reduces it: rows and columns
-    that are not chains, the ``cleared`` rows and the columns of k-faces
-    matched up are left out, and the matched pairs below ride along as
-    forced pivots."""
+    that are not chains, the rows of (k-1)-faces matched down and the
+    columns of k-faces matched up are left out, and the matched pairs
+    below ride along as forced pivots."""
     chains, up = _matching(complex_, sub)
-    skip_rows = ~chains[k - 1] | _mask(len(chains[k - 1]), cleared)
+    skip_rows = ~chains[k - 1]
+    if k - 2 in up:
+        skip_rows[up[k - 2][up[k - 2] >= 0]] = True  # matched down
     skip_cols = ~chains[k] | (up[k] >= 0)
     mat = boundary_matrix(complex_, k, np.flatnonzero(skip_rows), np.flatnonzero(skip_cols))
     matched = np.flatnonzero(up[k - 1] >= 0)
@@ -812,27 +778,13 @@ def _reduce(
     {empty face} gives unreduced homology.  H_k has rank n_k - r_k -
     r_{k+1}, n_k counting the chains, and the torsion of d_{k+1}.  The
     maps stay on the complex, by ``(field, sub)`` and then by degree, so
-    each is reduced once; the dict of them is returned for reading.
-    ``pivot_cols`` are positions in faces(k).  Below, d is the
-    differential of these chains, and rows and columns are chains.
+    each is reduced once, in any order; the dict of them is returned for
+    reading.  Below, d is the differential of these chains, and rows and
+    columns are chains.
 
     Each map d_k is reduced by rows, so its pivots are k-faces.  Three
-    rules shape the work; none changes the Smith form (rank) of d_k.
-
-    *Clearing.*  The maps go from the lowest degree up, and d_k skips as
-    rows the (k-1)-faces that were pivot columns of d_{k-1}, if it is
-    known (after Chen and Kerber; eliminating rows of d_k is reducing
-    the coboundary, as in de Silva, Morozov and Vejdemo-Johansson).  The
-    pivot rows of d_{k-1}, as they stood when chosen, are W d_{k-1} on
-    the columns it kept, for an integral (F_p) W.  Q = W d_{k-1} has
-    Q d_k = 0, since d_{k-1} d_k = 0, and on the pivot columns C it is
-    triangular with a unit on each pivot column (+-1 over Z, nonzero
-    mod p), hence Q[:, C] is invertible over Z (over F_p).  Splitting
-    Q d_k = 0 along C and the other rows N gives d_k[C] = -Q[:, C]^-1
-    Q[:, N] d_k[N], so every dropped row is an integer (F_p-)
-    combination of the kept ones.  Row operations turn d_k into d_k[N]
-    above zero rows.  A map is computed only when ``degrees`` need it,
-    never just to clear the one above.
+    rules shape the work, each read off the matching alone; none changes
+    the Smith form (rank) of d_k.
 
     *Matched columns.*  :func:`_matching` pairs chains s < t one degree
     apart, each pair an elementary reduction (Kaczynski, Mrozek and
@@ -842,8 +794,17 @@ def _reduce(
     once the pairs are ordered, so invertible over Z.  Splitting d_k
     d_{k+1}[:, T] = 0 along U and the other columns N gives d_k[:, U] =
     -d_k[:, N] d_{k+1}[N, T] d_{k+1}[U, T]^-1: an integral combination of
-    the kept columns, in every row, so also after clearing.  Column
-    operations turn d_k into d_k[:, N] beside zero columns.
+    the kept columns, in every row.  Column operations turn d_k into
+    d_k[:, N] beside zero columns.
+
+    *Matched rows.*  The same rule transposed: d_k leaves out the rows
+    of the (k-1)-faces T' matched down to (k-2)-faces S'.
+    d_{k-1}[S', T'] is triangular with +-1 on the diagonal, as above.
+    Splitting d_{k-1}[S', :] d_k = 0 along T' and the other rows N gives
+    d_k[T'] = -d_{k-1}[S', T']^-1 d_{k-1}[S', N] d_k[N]: an integral
+    combination of the kept rows, on every set of columns, so also
+    after the matched columns go.  Row operations turn d_k into d_k[N]
+    above zero rows.
 
     *Forced pivots.*  Each (k-1)-face s matched up to a k-face t pivots
     on column t first (see :func:`_sparse_eliminate`); the pairs ride on
@@ -854,26 +815,23 @@ def _reduce(
     triangular order and whose column comes before it: never the
     diagonal, and the block stays triangular.  So in any order of forced
     eliminations each forced entry is still +-1 (a unit mod p) when its
-    row comes up.  Clearing never drops a forced row: d_{k-1} leaves
-    the matched-up (k-1)-faces out as columns, so none is its pivot.
+    row comes up.  No forced row is dropped: a face is matched once, and
+    the forced rows are matched up.
     """
-    needed = sorted({d for k in degrees for d in (k, k + 1)})
+    needed = {d for k in degrees for d in (k, k + 1)}
     chains, _ = _matching(complex_, sub)
     n = {k: int(chains[k].sum()) if k in chains else 0 for d in needed for k in (d - 1, d)}
     maps: dict[int, _Map] = complex_._maps.setdefault((field, sub), {})
-    for k in [d for d in needed if d not in maps]:
-        cleared = maps[k - 1].pivot_cols if k - 1 in maps else frozenset()
-        if not n[k] or n[k - 1] == len(cleared):
-            maps[k] = _Map(0, (), frozenset())
+    for k in needed - maps.keys():
+        if not n[k] or not n[k - 1]:
+            maps[k] = _Map(0, ())
             continue
-        mat = _matched_boundary(complex_, k, sub, cleared)
+        mat = _matched_boundary(complex_, k, sub)
         if field is None:
-            result = snf(mat)
-            torsion = tuple(f for f in result if f > 1)
-            maps[k] = _Map(len(result), torsion, frozenset(result.pivot_cols))
+            factors = snf(mat)
+            maps[k] = _Map(len(factors), tuple(f for f in factors if f > 1))
         else:
-            result = rank_z(mat) if field == 0 else rank_mod_p(mat, field)
-            maps[k] = _Map(int(result), (), frozenset(result.pivot_cols))
+            maps[k] = _Map(rank_z(mat) if field == 0 else rank_mod_p(mat, field), ())
     groups = {
         k: AbelianGroup(n[k] - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
         for k in degrees
@@ -996,31 +954,32 @@ def is_boundary(
 
     A chain z of degree k bounds only if it is a cycle in the query's
     arithmetic (d_k z = 0, or = 0 mod p), which is checked first.  Then
-    d_0, ..., d_k are reduced from the bottom up as in :func:`_reduce`,
-    and z is tested on the k-faces N that were not pivot columns of d_k:
-    the map d_{k+1}[N] that :func:`_reduce` would reduce next (the
-    pivots skipped as rows, the columns matched up left out, the matched
-    pairs forced), with z_N as one more column (see :func:`_in_span`).
-    Leaving out matched columns keeps the column lattice, in every row
-    (see :func:`_reduce`).  That is exact.
-    The pivot rows of d_k as they stood when chosen are W d_k on the
-    columns it kept, for an integral (F_p) W; let C be their pivot
-    columns.  A k-cycle x has W d_k x = 0, and W d_k is triangular on C
-    with a unit on each pivot column (+-1 over Z, nonzero mod p), so
-    x_C is fixed by the rest of x: dropping C is injective on cycles.
-    If z_N = d_{k+1}[N] y, then z - d_{k+1} y is a cycle that vanishes
-    on N, hence zero.  So z bounds iff z_N lies in the column lattice
-    (space) of d_{k+1}[N].
+    z is tested on the k-faces N that are not matched down: the map
+    d_{k+1}[N] as :func:`_reduce` reduces it (the columns matched up
+    left out, the matched pairs forced), with z_N as one more column
+    (see :func:`_in_span`); no other map is reduced.  Leaving out
+    matched columns keeps the column lattice, in every row (see
+    :func:`_reduce`).  That is exact.  Let T' be the k-faces matched
+    down to (k-1)-faces S'.  A k-cycle x has d_k[S', T'] x_T' = -d_k[S',
+    N] x_N, and d_k[S', T'] is triangular with +-1 on the diagonal, so
+    invertible over Z and mod p: x_T' is fixed by x_N, and dropping T'
+    is injective on cycles.  If z_N = d_{k+1}[N] y, then z - d_{k+1} y
+    is a cycle that vanishes on N, hence zero.  So z bounds iff z_N
+    lies in the column lattice (space) of d_{k+1}[N]; an empty z_N
+    (the zero chain, in any degree) bounds.
     """
     mod = _check_prime(mod) if operator.index(mod) else 0
     vec = chain_vector(chain, complex_)  # faces outside the complex raise
     if any(c % mod if mod else c for _, c in chain.boundary().items()):
         return False
     k = chain.degree
-    _, maps = _reduce(complex_, range(-1, k), mod or None)
-    pivots = maps[k].pivot_cols if k in maps else frozenset()
-    vec = {i: c for i, c in vec.items() if i not in pivots}
-    return _in_span(_matched_boundary(complex_, k + 1, None, pivots), vec, mod)
+    _, up = _matching(complex_, None)
+    if k - 1 in up:
+        down = set(up[k - 1][up[k - 1] >= 0].tolist())
+        vec = {i: c for i, c in vec.items() if i not in down}
+    if not vec:
+        return True
+    return _in_span(_matched_boundary(complex_, k + 1, None), vec, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""``is_boundary`` on the cleared route against an uncleared dense oracle.
+"""``is_boundary`` on the matched route against a dense oracle.
 
 ``is_boundary`` first checks that the chain is a cycle in the query's
-arithmetic, reduces d_0^T, ..., d_k^T with clearing, and tests the chain
-on the k-faces that were not pivot rows of d_k^T only.  The oracle here
-uses the whole of d_{k+1} and no sparse elimination: over Z a chain
-bounds iff appending it to d_{k+1} keeps the dense Smith form, and mod
-p iff it keeps the rank found by the Gaussian elimination below.  The
-chains include non-cycles and chains z with d z = p y, which are
-cycles mod p only.
+arithmetic, drops the k-faces matched down by the Morse matching, and
+tests what is left of the chain against d_{k+1} with its matched rows
+and columns left out; no other map is reduced.  The oracle here uses
+the whole of d_{k+1} and no sparse elimination: over Z a chain bounds
+iff appending it to d_{k+1} keeps the dense Smith form, and mod p iff
+it keeps the rank found by the Gaussian elimination below.  The chains
+include non-cycles and chains z with d z = p y, which are cycles mod p
+only.
 """
 
 import importlib
@@ -151,11 +152,11 @@ def test_sphere_generators(embedding, ambient, bounds_mod):
 
 
 def test_sphere_behind_a_path():
-    """The pivots dropped from a 2-cycle must be the 2-faces of d_2^T.
+    """The faces dropped from a 2-cycle must be 2-faces matched down.
 
-    The path's edges come first and are pivot rows of d_1^T, so reading
-    those indices as 2-faces would drop the whole sphere, and its
-    fundamental class would seem to bound.
+    The path's edges come first and are matched down to vertices, so
+    reading those positions as 2-faces would drop the whole sphere, and
+    its fundamental class would seem to bound.
     """
     sphere = list(combinations((10, 11, 12, 13), 3))
     c = SimplicialComplex.from_facets([(0, 1), (1, 2), (2, 3), (3, 4), (4, 10), *sphere])
@@ -179,3 +180,26 @@ def test_one_elimination_per_membership_test(p, monkeypatch):
     mat = SparseIntMatrix(3, 2, {0: {0: 2, 1: 2}, 1: {1: 1, 2: 3}})
     assert _in_span(mat, {0: 2, 1: 3, 2: 3}, p)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["Z", "F_3"])
+def test_is_boundary_reduces_only_the_map_it_tests(p, monkeypatch):
+    calls = []
+    eliminate = homology_module._sparse_eliminate
+    monkeypatch.setattr(
+        homology_module, "_sparse_eliminate", lambda *a, **kw: calls.append(a) or eliminate(*a, **kw)
+    )
+    built = omega(make_spec(4, 1))
+    for k in range(0, built.dim):
+        c = SimplicialComplex.from_facets(built.facets)  # nothing reduced on it yet
+        calls.clear()
+        assert is_boundary(Chain.from_simplex(c.faces(k + 1)[0]).boundary(), c, mod=p)
+        assert len(calls) == 1 and calls[0][0].nrows == len(c.faces(k))
+        assert not c._maps
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["Z", "F_3"])
+def test_the_zero_chain_bounds_in_every_degree(p):
+    segment = SimplicialComplex.from_facets([(0, 1)])
+    for k in range(-3, segment.dim + 3):
+        assert is_boundary(Chain({}, degree=k), segment, mod=p)

@@ -1,19 +1,18 @@
-"""Clearing across degrees against the uncleared per-matrix route.
+"""The matched boundary maps against the whole per-matrix route.
 
 ``homology``, ``betti_numbers`` and ``relative_homology`` reduce the
-boundary maps d_k they need by rows, from the lowest degree up, and
-leave out of the rows of d_{k+1} every k-face that was a pivot column
-of d_k.  Clearing has no off switch, so the reference here rebuilds
-each boundary map whole and reduces it on its own with ``snf``,
-``rank_z`` or ``rank_mod_p``.  The same maps also leave out the
-columns of faces matched up by the Morse matching and pivot first on
-the matched pairs (see ``_reduce``); the reference knows of neither,
-and it checks absolute, unreduced and relative homology alike.
-A query for a few degrees starts in the middle of the complex, so those
-are checked degree by degree, each on a fresh copy of the complex: the
+boundary maps d_k they need by rows.  Each d_k leaves out the rows of
+the faces matched down and the columns of the faces matched up by the
+Morse matching, and pivots first on the matched pairs (see
+``_reduce``).  The matching has no off switch, so the reference here
+rebuilds each boundary map whole and reduces it on its own with
+``snf``, ``rank_z`` or ``rank_mod_p``.  Each map the core returns must
+have the rank and torsion of the whole map, not only give the same
+groups, in absolute, unreduced and relative homology alike.  A query
+for a few degrees starts in the middle of the complex, so those are
+checked degree by degree, each on a fresh copy of the complex: the
 maps a query reduces stay on the complex, and a later query on it
-reduces only the maps it does not find there, clearing with maps an
-earlier query reduced.
+reduces only the maps it does not find there.
 """
 
 import importlib
@@ -41,7 +40,7 @@ from cyclefree import (
     snf,
     theta,
 )
-from cyclefree.homology import _in_span, _reduce
+from cyclefree.homology import _in_span, _reduce, _sparse_eliminate
 
 from test_homology import RP2
 from test_properties import complexes
@@ -75,21 +74,19 @@ def field_rank(p):
 
 
 def per_matrix(faces, boundary, degrees, reduce=smith):
-    """Degree -> H_k, each boundary map d_k reduced whole."""
-
-    def d(k):
-        if not faces(k) or not faces(k - 1):
-            return 0, ()
-        return reduce(boundary(k))
-
-    out = {}
-    for k in degrees:
-        (down, _), (up, torsion) = d(k), d(k + 1)
-        out[k] = AbelianGroup(len(faces(k)) - down - up, torsion)
-    return out
+    """Degree -> H_k, and degree -> (rank, torsion) of each boundary map
+    d_k that H_k needs, reduced whole."""
+    maps = {}
+    for k in {d for k in degrees for d in (k, k + 1)}:
+        maps[k] = reduce(boundary(k)) if faces(k) and faces(k - 1) else (0, ())
+    groups = {
+        k: AbelianGroup(len(faces(k)) - maps[k][0] - maps[k + 1][0], maps[k + 1][1])
+        for k in degrees
+    }
+    return groups, maps
 
 
-def uncleared(c, reduce=smith, reduced=True):
+def whole(c, reduce=smith, reduced=True):
     def faces(k):
         return c.faces(k) if reduced or k >= 0 else ()
 
@@ -98,7 +95,7 @@ def uncleared(c, reduce=smith, reduced=True):
     return per_matrix(faces, lambda k: boundary_matrix(c, k), degrees, reduce)
 
 
-def relative_uncleared(c, sub, reduce=smith):
+def relative_whole(c, sub, reduce=smith):
     """Relative chains from the full boundary maps: the subcomplex faces
     and the empty face are removed here, not by ``boundary_matrix``."""
 
@@ -179,29 +176,34 @@ def test_relative_homology_to_the_void_complex_is_unreduced(c):
     void = SimplicialComplex.from_facets([])
     got = relative_homology(c, void)
     assert got == homology(c, reduced=False)
-    assert got == HomologyResult(uncleared(c, reduced=False))
+    assert got == HomologyResult(whole(c, reduced=False)[0])
 
 
 @SETTINGS
 @given(st.one_of(complexes(range(7)), relabelled_omegas()))
 def test_cleared_homology_equals_per_matrix_smith_forms(c):
-    assert homology(c).groups == uncleared(c)
+    want = whole(c)
+    assert homology(c).groups == want[0]
+    assert _reduce(fresh(c), list(want[0]), None) == want
 
 
 @SETTINGS
 @given(st.one_of(complexes(range(7)), relabelled_omegas()), st.sampled_from([0, 2, 3]))
 def test_cleared_betti_numbers_equal_per_matrix_ranks(c, p):
-    want = {k: g.rank for k, g in uncleared(c, field_rank(p)).items()}
-    assert betti_numbers(c, p) == want
-    # unreduced: the pair with {empty face}
-    unreduced = uncleared(c, field_rank(p), reduced=False)
-    assert _reduce(c, list(unreduced), p, SimplicialComplex.from_facets([[]]))[0] == unreduced
+    want = whole(c, field_rank(p))
+    assert betti_numbers(c, p) == {k: g.rank for k, g in want[0].items()}
+    assert _reduce(fresh(c), list(want[0]), p) == want
+    # unreduced: the pair with {empty face}, over Z too
+    empty = SimplicialComplex.from_facets([[]])
+    for field, reduce in ((p, field_rank(p)), (None, smith)):
+        unreduced = whole(c, reduce, reduced=False)
+        assert _reduce(fresh(c), list(unreduced[0]), field, empty) == unreduced
 
 
 @SETTINGS
 @given(st.one_of(complexes(range(7)), relabelled_omegas()), st.booleans())
 def test_homology_in_single_degrees_equals_per_matrix_smith_forms(c, reduced):
-    want = uncleared(c, reduced=reduced)
+    want = whole(c, reduced=reduced)[0]
     assert homology(c, reduced=reduced).groups == want
     lo = min(want)
     for k, group in want.items():
@@ -214,7 +216,7 @@ def test_homology_in_single_degrees_equals_per_matrix_smith_forms(c, reduced):
 @SETTINGS
 @given(st.one_of(complexes(range(7)), relabelled_omegas()), st.sampled_from([0, 2, 3]))
 def test_betti_numbers_through_each_degree_equal_per_matrix_ranks(c, p):
-    want = {k: g.rank for k, g in uncleared(c, field_rank(p)).items()}
+    want = {k: g.rank for k, g in whole(c, field_rank(p))[0].items()}
     for t in range(-1, c.dim + 1):
         assert betti_numbers(c, p, through=t) == {k: b for k, b in want.items() if k <= t}
 
@@ -234,8 +236,8 @@ def test_queries_in_any_order_equal_one_call_on_a_fresh_complex(case):
     c, queries = case
     for field, reduced, degrees in queries:
         sub = None if reduced else SimplicialComplex.from_facets([[]])
-        whole = _reduce(fresh(c), range(-1, c.dim + 2), field, sub)[0]
-        assert _reduce(c, degrees, field, sub)[0] == {k: whole[k] for k in degrees}
+        once = _reduce(fresh(c), range(-1, c.dim + 2), field, sub)[0]
+        assert _reduce(c, degrees, field, sub)[0] == {k: once[k] for k in degrees}
 
 
 def test_a_map_is_reduced_once_per_complex(monkeypatch):
@@ -259,10 +261,12 @@ def test_a_map_is_reduced_once_per_complex(monkeypatch):
 @given(pairs(), st.sampled_from([0, 2, 3]))
 def test_relative_homology_of_random_pairs_equals_per_matrix_assembly(pair, p):
     c, sub = pair
-    assert relative_homology(c, sub).groups == relative_uncleared(c, sub)
+    want = relative_whole(c, sub)
+    assert relative_homology(c, sub).groups == want[0]
+    assert _reduce(fresh(c), list(want[0]), None, sub) == want
     # ranks over Q, F_2 and F_3 of the pair, through the same core
-    want = relative_uncleared(c, sub, field_rank(p))
-    assert _reduce(c, range(0, c.dim + 1), p, sub)[0] == want
+    want = relative_whole(c, sub, field_rank(p))
+    assert _reduce(fresh(c), list(want[0]), p, sub) == want
 
 
 @SETTINGS
@@ -277,25 +281,11 @@ def test_eliminating_rows_or_columns_gives_one_smith_form_and_rank(c):
             assert rank_mod_p(m, p) == rank_mod_p(t, p)
 
 
-def test_pivot_cols_are_returned_in_every_mode():
-    mat = boundary_matrix(omega(make_spec(4, 1)), 2)
-    factors, rank, rank3 = snf(mat), rank_z(mat), rank_mod_p(mat, 3)
-    assert len(factors.pivot_cols) <= factors.count(1)
-    assert len(rank.pivot_cols) <= rank
-    assert len(rank3.pivot_cols) == rank3
-    for cols in (factors.pivot_cols, rank.pivot_cols, rank3.pivot_cols):
-        assert cols and len(set(cols)) == len(cols)
-        assert all(0 <= j < mat.ncols for j in cols)
-    # the results still compare and hash as plain values
-    assert factors == tuple(factors) and hash(factors) == hash(tuple(factors))
-    assert rank == int(rank) and rank3 == int(rank3)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
     c = omega(make_spec(5, 2))
     # the k-faces that are pivot rows of d_{k+1}, top-down clearing
-    pivots = set(snf(transpose(boundary_matrix(c, k + 1))).pivot_cols)
+    pivots = set(_sparse_eliminate(transpose(boundary_matrix(c, k + 1)))[0])
     assert pivots
     full = boundary_matrix(c, k)
     kept = boundary_matrix(c, k, skip_cols=pivots)
@@ -309,7 +299,7 @@ def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
     c = omega(make_spec(5, 2))
-    pivots = set(snf(boundary_matrix(c, k)).pivot_cols)
+    pivots = set(_sparse_eliminate(boundary_matrix(c, k))[0])
     assert pivots
     full = transpose(boundary_matrix(c, k + 1))
     kept = transpose(boundary_matrix(c, k + 1, skip_rows=pivots))
@@ -323,7 +313,7 @@ def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
 
 def test_relative_homology_equals_per_matrix_assembly():
     c, sub = omega(make_spec(4)), theta(4)
-    assert relative_homology(c, sub).groups == relative_uncleared(c, sub)
+    assert relative_homology(c, sub).groups == relative_whole(c, sub)[0]
 
 
 def test_torsion_of_the_six_board_with_a_free_row():
@@ -348,8 +338,7 @@ def test_integer_groups_predict_field_betti_numbers(build, primes_with_torsion):
     """Universal coefficients: b_k(F_p) = rank H_k + #{p | t in H_k} + #{p | t in H_{k-1}}.
 
     The Z groups come from Smith forms and the F_p numbers from ranks
-    mod p: two runs of the cleared elimination in different arithmetic,
-    each clearing with its own pivots.
+    mod p: two runs of the matched elimination in different arithmetic.
     """
     c = build()
     h = homology(c)

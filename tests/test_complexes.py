@@ -3,8 +3,10 @@ from itertools import combinations
 import pytest
 
 from cyclefree import (
+    AbelianGroup,
     SimplicialComplex,
     Square,
+    homology,
     intersection,
     join,
     suspension,
@@ -206,6 +208,12 @@ def test_suspension_of_circle_is_a_sphere():
     poles = set(s.vertices) - set(TRIANGLE_BOUNDARY.vertices)
     assert len(poles) == 2
     assert not s.has_face(poles)
+
+
+def test_double_suspension_shifts_homology_up_by_two():
+    twice = suspension(suspension(TRIANGLE_BOUNDARY))
+    assert len(twice.vertices) == len(TRIANGLE_BOUNDARY.vertices) + 4
+    assert homology(twice).nontrivial() == {3: AbelianGroup(1)}
 
 
 def test_union_and_intersection():

@@ -162,7 +162,7 @@ def test_smith_transforms_diagonalise(pair):
     ([[2, 3], [1, 1]], SparseIntMatrix(2, 2, {0: {0: 2, 1: 1}, 1: {0: 3, 1: 1}})), 0, False
 )
 def test_sparse_elimination_contract(pair, p, keep_last):
-    """What clearing in ``_reduce`` and ``Presentation`` rely on."""
+    """What ``Presentation`` and ``_in_span`` rely on."""
     dense, sparse = pair
     keep = sparse.ncols - 1 if keep_last else None
     rows: list = []
