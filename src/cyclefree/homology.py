@@ -33,11 +33,12 @@ and :func:`relative_homology` share one core, :func:`_reduce`.  It
 reduces the maps d_k that a query needs and does not find on the
 complex, which keeps every map it reduces.  Each map is shaped by a
 Morse matching alone: :func:`_matching` pairs the chains one vertex
-apart (Jonsson's iterated element matching, kept on the complex), d_k
-leaves out the rows of faces matched down and the columns of faces
-matched up, and each matched pair of a (k-1)-face and a k-face is a
-forced +-1 pivot, taken before the Markowitz rule picks the rest (rows
-and columns are positions in the face order).  None of this changes a
+apart (Jonsson's iterated element matching, with the vertices in face
+groups, kept on the complex), d_k leaves out the rows of faces matched
+down and the columns of faces matched up, and each matched pair of a
+(k-1)-face and a k-face is a forced +-1 pivot, taken before the
+Markowitz rule picks the rest (rows and columns are positions in the
+face order).  None of this changes a
 Smith form (see :func:`_reduce` for the argument).  :func:`is_boundary`
 reduces the one map d_{k+1}, shaped the same way, with the cycle it
 tests as one more column.
@@ -401,8 +402,7 @@ def _sparse_eliminate(
             nnz, i = heapq.heappop(heap)
             row, c = rows.get(i), None
             if row is not None and len(row) != nnz:
-                heapq.heappush(heap, (len(row), i))
-                continue
+                continue  # stale: the update that changed the row pushed it again
         if row is None:
             continue
         if c not in row or not (p or row[c] == 1 or row[c] == -1):
@@ -691,6 +691,42 @@ class _Map(NamedTuple):
     torsion: tuple[int, ...]
 
 
+def _vertex_groups(complex_: SimplicialComplex) -> list[list[int]]:
+    """The vertex positions in face groups, the order :func:`_matching`
+    takes them in.
+
+    Each group walks the vertices not yet placed in position order and
+    takes a vertex when the group with it still lies in some facet; the
+    walks repeat until every vertex is placed.  So each group is a face,
+    and on a chessboard complex a transversal.  The facets are one
+    boolean vertex x facet incidence (from the facet rows that
+    ``_face_rows`` indexes), and each group narrows an index array of
+    the facets that hold it, so no Python loop runs over the facets.
+    """
+    if not complex_.vertices:
+        return []
+    complex_._face_rows(0)  # indexes the facet rows
+    by_size = complex_._index[1]
+    holds = np.zeros((len(complex_.vertices), sum(map(len, by_size))), dtype=bool)
+    start = 0
+    for rows in by_size:
+        holds[rows, np.arange(start, start + len(rows))[:, None]] = True
+        start += len(rows)
+    groups = []
+    rest = np.arange(len(complex_.vertices))
+    while len(rest):
+        group, facets = [], np.arange(holds.shape[1])
+        fits = rest
+        while len(fits):  # fits: the vertices not placed that the group could take
+            v = fits[0]
+            group.append(int(v))
+            facets = facets[holds[v, facets]]
+            fits = fits[1:][holds[np.ix_(fits[1:], facets)].any(axis=1)]
+        groups.append(group)
+        rest = np.setdiff1d(rest, group, assume_unique=True)
+    return groups
+
+
 def _matching(
     complex_: SimplicialComplex, sub: Optional[SimplicialComplex]
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -703,11 +739,15 @@ def _matching(
     ``sub``.
 
     The matching is the iterated element matching (Jonsson, *Simplicial
-    Complexes of Graphs*, ch. 4): for each vertex v in position order,
-    every chain s without v that is still unmatched is paired with s + v
-    when that is a chain still unmatched.  Jonsson shows the union of
-    the steps is acyclic for any family of sets, the chains of a pair
-    among them.  In the step of v a face with v can only be matched
+    Complexes of Graphs*, ch. 4): for each vertex v in turn, every chain
+    s without v that is still unmatched is paired with s + v when that
+    is a chain still unmatched.  Jonsson shows the union of the steps is
+    acyclic for any family of sets, the chains of a pair among them, and
+    for any sequence of vertices; the rules of :func:`_reduce` need
+    nothing more.  So the order is free for exactness, and it is chosen
+    to leave few critical faces: the vertices go in the face groups of
+    :func:`_vertex_groups`, which on chessboard complexes are
+    transversals.  In the step of v a face with v can only be matched
     down and one without v only up, so the degrees do not interact
     there, and each is one vector step: the (k+1)-faces holding v,
     grouped by vertex once, reach s through the boundary index
@@ -733,7 +773,7 @@ def _matching(
         faces, col = np.divmod(flat, k + 1)
         bounds = np.searchsorted(rows.ravel()[flat], np.arange(len(complex_.vertices) + 1))
         holders[k] = faces, complex_._boundary_faces(k)[faces, col], bounds
-    for v in range(len(complex_.vertices)):
+    for v in (v for group in _vertex_groups(complex_) for v in group):
         for k, (faces, covered, bounds) in holders.items():
             t, s = faces[bounds[v]:bounds[v + 1]], covered[bounds[v]:bounds[v + 1]]
             both = free[k][t] & free[k - 1][s]

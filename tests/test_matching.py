@@ -6,9 +6,13 @@ same matrix from face tuples and ``Chain.boundary``.  The homology core
 pairs chains by the iterated element matching and drops or forces
 pivots by it; the guards check what that relies on: a matching of
 chains, one vertex apart, acyclic, and no fewer critical faces than
-Betti numbers, with the Euler characteristic kept.
+Betti numbers, with the Euler characteristic kept.  The matching takes
+the vertices in face groups; a test pins that this leaves fewer
+critical faces than position order, which is rebuilt here only.
 """
 
+import importlib
+import random
 from itertools import combinations
 
 import numpy as np
@@ -21,13 +25,15 @@ from cyclefree import (
     betti_numbers,
     boundary_matrix,
     dense_snf,
+    make_spec,
+    omega,
     rank_mod_p,
     snf,
 )
 from cyclefree.complexes import _keys
-from cyclefree.homology import _matching, _reduce
+from cyclefree.homology import _matching, _reduce, _vertex_groups
 
-from test_clearing import pairs, skips
+from test_clearing import fresh, pairs, skips
 from test_homology import RP2
 from test_properties import matrices
 
@@ -186,6 +192,41 @@ def test_critical_faces_bound_the_betti_numbers_and_keep_euler(case):
         assert all(crit[k] >= g.rank for k, g in groups.items())
     euler = sum((-1) ** k * int(m.sum()) for k, m in chains.items())
     assert sum((-1) ** k * n for k, n in crit.items()) == euler
+
+
+@SETTINGS
+@given(pairs())
+def test_the_vertex_groups_are_faces_that_place_every_vertex_once(case):
+    c, _ = case
+    groups = _vertex_groups(c)
+    assert sorted(v for group in groups for v in group) == list(range(len(c.vertices)))
+    for group in groups:
+        assert c.has_face(c.vertices[v] for v in group)
+
+
+def omega_6_1_relabelled():
+    """omega-6-1 under a fixed shuffle of its row and column labels."""
+    c, rng = omega(make_spec(6, 1)), random.Random(61)
+    rows, cols = sorted({v.row for v in c.vertices}), sorted({v.col for v in c.vertices})
+    rmap = dict(zip(rows, rng.sample(rows, len(rows))))
+    cmap = dict(zip(cols, rng.sample(cols, len(cols))))
+    return SimplicialComplex.from_facets([(rmap[r], cmap[c]) for r, c in f] for f in c.facets)
+
+
+@pytest.mark.parametrize(
+    "c", [omega(make_spec(6, 1)), omega_6_1_relabelled()], ids=["identity", "relabelled"]
+)
+def test_face_groups_leave_fewer_critical_faces_than_position_order(c, monkeypatch):
+    groups = sum(critical(fresh(c), None).values())
+    by_position = fresh(c)
+    with monkeypatch.context() as m:
+        m.setattr(
+            importlib.import_module("cyclefree.homology"),
+            "_vertex_groups",
+            lambda complex_: [[v] for v in range(len(complex_.vertices))],
+        )
+        position = sum(critical(by_position, None).values())
+    assert groups < position
 
 
 @pytest.mark.parametrize(
