@@ -38,7 +38,9 @@ groups, kept on the complex), d_k leaves out the rows of faces matched
 down and the columns of faces matched up, and each matched pair of a
 (k-1)-face and a k-face is a forced +-1 pivot, taken before the
 Markowitz rule picks the rest (rows and columns are positions in the
-face order).  None of this changes a
+face order).  A map with no critical (unmatched) face on one side is
+read off the matching, one unit per matched pair, and no matrix is
+built for it.  None of this changes a
 Smith form (see :func:`_reduce` for the argument).  :func:`is_boundary`
 reduces the one map d_{k+1}, shaped the same way, with the cycle it
 tests as one more column.
@@ -822,7 +824,7 @@ def _reduce(
     reading.  Below, d is the differential of these chains, and rows and
     columns are chains.
 
-    Each map d_k is reduced by rows, so its pivots are k-faces.  Three
+    Each map d_k is reduced by rows, so its pivots are k-faces.  Four
     rules shape the work, each read off the matching alone; none changes
     the Smith form (rank) of d_k.
 
@@ -857,14 +859,31 @@ def _reduce(
     eliminations each forced entry is still +-1 (a unit mod p) when its
     row comes up.  No forced row is dropped: a face is matched once, and
     the forced rows are matched up.
+
+    *Empty Morse boundary.*  The kept rows of d_k are the critical
+    (k-1)-faces (chains matched neither up nor down) and the forced
+    rows; the kept columns are the critical k-faces and the forced
+    columns.  With the forced block F first, d_k is [[F, B], [C, D]],
+    and unimodular row and column operations (F is invertible over Z)
+    bring it to F (+) (D - C F^-1 B).  The second block, critical
+    (k-1)-faces by critical k-faces, is the Morse boundary.  When
+    either side has no critical face it is empty, so the Smith form of
+    d_k is one 1 per matched (k-1, k) pair, and its rank over every
+    F_p is the number of pairs: no matrix is built.  This covers a
+    degree with no chains at all, where there are no pairs either.
     """
     needed = {d for k in degrees for d in (k, k + 1)}
-    chains, _ = _matching(complex_, sub)
-    n = {k: int(chains[k].sum()) if k in chains else 0 for d in needed for k in (d - 1, d)}
+    chains, up = _matching(complex_, sub)
+    around = {j for d in needed for j in (d - 1, d, d + 1)}
+    n = {k: int(chains[k].sum()) if k in chains else 0 for k in around}
+    # pairs[k]: the (k-1)-faces matched up to k-faces; a k-chain is
+    # matched up, matched down or critical
+    pairs = {k: int((up[k - 1] >= 0).sum()) if k - 1 in up else 0 for k in around}
+    critical = {k: n[k] - pairs[k] - pairs[k + 1] for d in needed for k in (d - 1, d)}
     maps: dict[int, _Map] = complex_._maps.setdefault((field, sub), {})
     for k in needed - maps.keys():
-        if not n[k] or not n[k - 1]:
-            maps[k] = _Map(0, ())
+        if not critical[k] or not critical[k - 1]:
+            maps[k] = _Map(pairs[k], ())
             continue
         mat = _matched_boundary(complex_, k, sub)
         if field is None:

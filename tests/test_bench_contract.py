@@ -35,7 +35,7 @@ def test_every_traced_path_resolves_in_the_library(path):
 
 def test_homology_and_betti_numbers_reach_the_sparse_layer_through_module_globals():
     tracer = spans.Tracer()
-    c = omega(make_spec(4, 1))
+    c = omega(make_spec(5))  # d_3 has a 43 x 24 Morse boundary, so a matrix is built
     tracer.install()
     try:
         # through the package, whose names the tracer rebinds

@@ -40,7 +40,13 @@ from cyclefree import (
     snf,
     theta,
 )
-from cyclefree.homology import _in_span, _reduce, _sparse_eliminate
+from cyclefree.homology import (
+    _in_span,
+    _matched_boundary,
+    _matching,
+    _reduce,
+    _sparse_eliminate,
+)
 
 from test_homology import RP2
 from test_properties import complexes
@@ -240,12 +246,18 @@ def test_queries_in_any_order_equal_one_call_on_a_fresh_complex(case):
         assert _reduce(c, degrees, field, sub)[0] == {k: once[k] for k in degrees}
 
 
-def test_a_map_is_reduced_once_per_complex(monkeypatch):
+@pytest.fixture
+def reduced(monkeypatch):
+    """The matrices that ``homology`` hands to ``snf``, as they come."""
     module = importlib.import_module("cyclefree.homology")  # the package binds the function
-    reduced = []
+    matrices = []
     snf = module.snf
-    monkeypatch.setattr(module, "snf", lambda matrix: reduced.append(matrix) or snf(matrix))
-    c = omega(make_spec(4, 1))
+    monkeypatch.setattr(module, "snf", lambda matrix: matrices.append(matrix) or snf(matrix))
+    return matrices
+
+
+def test_a_map_is_reduced_once_per_complex(reduced):
+    c = omega(make_spec(5))  # d_3 has a 43 x 24 Morse boundary; the others are empty
     h = homology(c)
     assert reduced
     reduced.clear()
@@ -255,6 +267,52 @@ def test_a_map_is_reduced_once_per_complex(monkeypatch):
     for k in range(0, c.dim):
         assert is_boundary(Chain.from_simplex(c.faces(k + 1)[0]).boundary(), c)
     assert not reduced
+
+
+def test_only_maps_with_a_critical_face_on_both_sides_are_reduced(reduced):
+    # critical faces only in degrees 3 and 4, so only d_4 is built
+    homology(omega(make_spec(6, 1)))
+    assert len(reduced) == 1
+
+
+def critical_faces(chains, up, k):
+    """The k-chains matched neither up nor down, as a mask."""
+    mask = chains[k] & (up[k] < 0)
+    if k - 1 in up:
+        mask[up[k - 1][up[k - 1] >= 0]] = False
+    return mask
+
+
+def test_an_empty_morse_boundary_is_all_forced_pivots():
+    """Where either side of d_k has no critical face, ``_reduce`` reads
+    the map off the matching: one unit per matched (k-1, k) pair.  The
+    matched d_k must then reduce to exactly those pivots, with nothing
+    left over, over Z, F_2 and F_3, for absolute, unreduced and
+    relative chains."""
+    empty = SimplicialComplex.from_facets([[]])
+    sides = set()
+
+    @SETTINGS
+    @given(pairs(), st.sampled_from([0, 2, 3]))
+    def check(pair, p):
+        c, sub = pair
+        for s in (None, empty, sub):
+            chains, up = _matching(c, s)
+            for k in range(0, c.dim + 2):
+                below, above = critical_faces(chains, up, k - 1), critical_faces(chains, up, k)
+                if below.any() and above.any():
+                    continue
+                sides.add((bool(below.any()), bool(above.any())))
+                matched = int((up[k - 1] >= 0).sum())
+                pivots, leftover = _sparse_eliminate(_matched_boundary(c, k, s), p)
+                assert len(pivots) == matched
+                assert not leftover
+                field = None if p == 0 else p
+                assert _reduce(fresh(c), [k], field, s)[1][k] == (matched, ())
+
+    check()
+    # the draws reach each side of the rule alone
+    assert {(True, False), (False, True)} <= sides
 
 
 @SETTINGS
