@@ -35,7 +35,7 @@ print("H_1 of omega(3 rows + 2 free):", homology(omega(make_spec(3, 2))).group(1
 hx = hexagon()
 print("hexagon f-vector:", hx.complex.f_vector())
 print("fundamental cycle has", len(hx.fundamental), "edges; boundary zero:",
-      is_cycle(hx.fundamental, hx.complex))
+      is_cycle(hx.fundamental))
 
 # Joining the hexagon with a vertical domino on fresh rows and columns
 # gives a 2-sphere, still cycle-free on the same board.

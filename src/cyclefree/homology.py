@@ -40,10 +40,11 @@ down and the columns of faces matched up, and each matched pair of a
 Markowitz rule picks the rest (rows and columns are positions in the
 face order).  A map with no critical (unmatched) face on one side is
 read off the matching, one unit per matched pair, and no matrix is
-built for it.  None of this changes a
-Smith form (see :func:`_reduce` for the argument).  :func:`is_boundary`
-reduces the one map d_{k+1}, shaped the same way, with the cycle it
-tests as one more column.
+built for it.  None of this changes a Smith form (see :func:`_reduce`
+for the argument).  Ranks over Q read the integer maps, since a rank
+is the number of invariant factors, so Z and Q share one cache entry
+per map.  :func:`is_boundary` reduces the one map d_{k+1}, shaped the
+same way, with the cycle it tests as one more column.
 
 Membership of a vector in the column lattice (or F_p-span) of a matrix
 takes one elimination and no transform bookkeeping: the vector goes in
@@ -73,7 +74,6 @@ __all__ = [
     "boundary_matrix",
     "chain_vector",
     "dense_snf",
-    "homological_connectivity",
     "homology",
     "induced_map",
     "is_boundary",
@@ -95,8 +95,10 @@ class AbelianGroup:
     ``AbelianGroup(rank, torsion)`` is Z^rank plus a cyclic factor per
     torsion entry; any multiset of cyclic orders is accepted and
     canonicalized, so ``AbelianGroup(0, (2, 3)) == AbelianGroup(0, (6,))``.
-    The canonical torsion is the invariant-factor chain of the orders:
-    the factors > 1 of the Smith form of diag(|orders|).
+    An order 0 is the cyclic group Z, one more free summand, so
+    ``AbelianGroup(0, (0, 2)) == AbelianGroup(1, (2,))``.  The canonical
+    torsion is the invariant-factor chain of the nonzero orders: the
+    factors > 1 of the Smith form of diag(|orders|).
     """
 
     rank: int = 0
@@ -106,8 +108,9 @@ class AbelianGroup:
         rank = operator.index(self.rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "rank", rank)
         orders = [abs(operator.index(t)) for t in self.torsion]
+        object.__setattr__(self, "rank", rank + orders.count(0))
+        orders = [t for t in orders if t]
         chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
         object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
 
@@ -179,19 +182,8 @@ class Chain:
         chain.degree, chain._coeffs = degree, {f: c for f, c in coeffs.items() if c}
         return chain
 
-    @classmethod
-    def from_simplex(cls, face: Iterable, coeff: int = 1) -> "Chain":
-        face = tuple(sorted(face))
-        return cls({face: coeff}, degree=len(face) - 1)
-
-    def coefficient(self, face: Iterable) -> int:
-        return self._coeffs.get(tuple(sorted(face)), 0)
-
     def items(self):
         return self._coeffs.items()
-
-    def support(self) -> tuple:
-        return tuple(sorted(self._coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -279,37 +271,34 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-def _mask(n: int, positions) -> np.ndarray:
-    """A set, or an integer array, of positions as a boolean mask of
-    length n; positions outside 0..n-1 mark nothing."""
-    mask = np.zeros(n, dtype=bool)
-    if not isinstance(positions, np.ndarray):
-        positions = np.fromiter(positions, dtype=np.intp, count=len(positions))
-    mask[positions[(positions >= 0) & (positions < n)]] = True
-    return mask
-
-
 def boundary_matrix(
     complex_: SimplicialComplex,
     k: int,
-    skip_rows: frozenset[int] = frozenset(),
-    skip_cols: frozenset[int] = frozenset(),
+    skip_rows: Optional[np.ndarray] = None,
+    skip_cols: Optional[np.ndarray] = None,
 ) -> SparseIntMatrix:
     """The degree-k boundary matrix, (k-1)-faces by k-faces.
 
     Rows and columns are positions in ``faces(k - 1)`` and ``faces(k)``.
-    Those in ``skip_rows`` and ``skip_cols`` (sets or integer arrays of
-    positions) get no entries (matched faces, relative chains); the others
-    keep theirs, in a shape n_{k-1} x n_k.  The rows of a column are
-    found by searching the keys of its k + 1 deleted-vertex faces among
-    those of faces(k - 1); no face tuple is built.
+    ``skip_rows`` and ``skip_cols``, if given, are boolean masks of
+    length n_{k-1} and n_k; the rows and columns they mark get no
+    entries (matched faces, relative chains), and the others keep
+    theirs, in a shape n_{k-1} x n_k.  The rows of a column are found by
+    searching the keys of its k + 1 deleted-vertex faces among those of
+    faces(k - 1); no face tuple is built.
     """
     nrows, ncols = len(complex_._face_rows(k - 1)), len(complex_._face_rows(k))
+    skip_rows = np.zeros(nrows, dtype=bool) if skip_rows is None else np.asarray(skip_rows)
+    skip_cols = np.zeros(ncols, dtype=bool) if skip_cols is None else np.asarray(skip_cols)
+    if skip_rows.shape != (nrows,) or skip_cols.shape != (ncols,) or not (
+        skip_rows.dtype == skip_cols.dtype == bool
+    ):
+        raise ValueError(f"skips must be boolean masks of lengths {nrows} and {ncols}")
     if not nrows or not ncols:
         return SparseIntMatrix(nrows, ncols, {})
-    cols = np.flatnonzero(~_mask(ncols, skip_cols))
+    cols = np.flatnonzero(~skip_cols)
     at = complex_._boundary_faces(k)[cols]
-    kept = ~_mask(nrows, skip_rows)[at]
+    kept = ~skip_rows[at]
     signs = tuple((-1) ** i for i in range(k + 1))
     entries = map(dict, map(compress, map(zip, at.tolist(), repeat(signs)), kept.tolist()))
     return SparseIntMatrix(
@@ -665,9 +654,6 @@ class HomologyResult:
     def group(self, k: int) -> AbelianGroup:
         return self.groups.get(k, TRIVIAL_GROUP)
 
-    def __getitem__(self, k: int) -> AbelianGroup:
-        return self.group(k)
-
     def nontrivial(self) -> dict[int, AbelianGroup]:
         return {k: g for k, g in sorted(self.groups.items()) if not g.is_trivial}
 
@@ -798,7 +784,7 @@ def _matched_boundary(
     if k - 2 in up:
         skip_rows[up[k - 2][up[k - 2] >= 0]] = True  # matched down
     skip_cols = ~chains[k] | (up[k] >= 0)
-    mat = boundary_matrix(complex_, k, np.flatnonzero(skip_rows), np.flatnonzero(skip_cols))
+    mat = boundary_matrix(complex_, k, skip_rows, skip_cols)
     matched = np.flatnonzero(up[k - 1] >= 0)
     mat._forced = dict(zip(matched.tolist(), up[k - 1][matched].tolist()))
     return mat
@@ -807,22 +793,22 @@ def _matched_boundary(
 def _reduce(
     complex_: SimplicialComplex,
     degrees: Sequence[int],
-    field: Union[None, int],
+    field: Optional[int],
     sub: Optional[SimplicialComplex] = None,
 ) -> tuple[dict[int, AbelianGroup], dict[int, _Map]]:
     """Homology groups in ``degrees``, and the boundary maps reduced for them.
 
     ``field`` is None for integer groups (Smith forms: rank and torsion),
-    0 for ranks over Q and a prime p for ranks over F_p (torsion is then
-    empty).  Chains are those of the augmented complex, or those of the
-    pair (complex, sub), never augmented: the pair leaves out the faces
-    of ``sub`` and those below degree 0, so a void ``sub`` or the complex
-    {empty face} gives unreduced homology.  H_k has rank n_k - r_k -
-    r_{k+1}, n_k counting the chains, and the torsion of d_{k+1}.  The
-    maps stay on the complex, by ``(field, sub)`` and then by degree, so
-    each is reduced once, in any order; the dict of them is returned for
-    reading.  Below, d is the differential of these chains, and rows and
-    columns are chains.
+    whose ranks are those over Q, and a prime p for ranks over F_p
+    (torsion is then empty).  Chains are those of the augmented complex,
+    or those of the pair (complex, sub), never augmented: the pair leaves
+    out the faces of ``sub`` and those below degree 0, so a void ``sub``
+    or the complex {empty face} gives unreduced homology.  H_k has rank
+    n_k - r_k - r_{k+1}, n_k counting the chains, and the torsion of
+    d_{k+1}.  The maps stay on the complex, by ``(field, sub)`` and then
+    by degree, so each is reduced once, in any order; the dict of them
+    is returned for reading.  Below, d is the differential of these
+    chains, and rows and columns are chains.
 
     Each map d_k is reduced by rows, so its pivots are k-faces.  Four
     rules shape the work, each read off the matching alone; none changes
@@ -890,7 +876,7 @@ def _reduce(
             factors = snf(mat)
             maps[k] = _Map(len(factors), tuple(f for f in factors if f > 1))
         else:
-            maps[k] = _Map(rank_z(mat) if field == 0 else rank_mod_p(mat, field), ())
+            maps[k] = _Map(rank_mod_p(mat, field), ())
     groups = {
         k: AbelianGroup(n[k] - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
         for k in degrees
@@ -936,31 +922,15 @@ def betti_numbers(
 ) -> dict[int, int]:
     """Reduced Betti numbers over F_p, or over Q for p == 0 (exact).
 
-    ``through`` caps the largest degree reported; degrees above it are
-    never touched, which keeps low-degree questions cheap on complexes
-    whose top boundary matrices are large.
+    Over Q they are the ranks of the integer groups, read off the maps
+    that :func:`homology` keeps.  ``through`` caps the largest degree
+    reported; degrees above it are never touched, which keeps low-degree
+    questions cheap on complexes whose top boundary matrices are large.
     """
-    p = _check_prime(p) if operator.index(p) else 0
+    p = _check_prime(p) if operator.index(p) else None
     hi = complex_.dim if through is None else min(through, complex_.dim)
     groups, _ = _reduce(complex_, range(-1, hi + 1), p)
     return {k: g.rank for k, g in groups.items()}
-
-
-def homological_connectivity(complex_: SimplicialComplex):
-    """The largest c with reduced integer homology trivial in every degree <= c.
-
-    An empty complex (void or not: its realization is the empty space)
-    reports -2.  If every reduced group through the top dimension
-    vanishes the complex is homologically contractible and the result is
-    ``math.inf``.
-    """
-    if not complex_.vertices:
-        return -2
-    res = homology(complex_)
-    for k in range(0, complex_.dim + 1):
-        if not res.group(k).is_trivial:
-            return k - 1
-    return float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -994,15 +964,12 @@ def chain_vector(chain: Chain, complex_: SimplicialComplex) -> dict[int, int]:
     return vec
 
 
-def is_cycle(chain: Chain, complex_: Optional[SimplicialComplex] = None) -> bool:
+def is_cycle(chain: Chain) -> bool:
     """Whether the reduced boundary of the chain vanishes.
 
-    Passing a complex additionally checks that the chain is supported on
-    its faces.  The reduced convention makes a 0-chain a cycle exactly
-    when its coefficients sum to zero.
+    The reduced convention makes a 0-chain a cycle exactly when its
+    coefficients sum to zero.
     """
-    if complex_ is not None:
-        chain_vector(chain, complex_)
     return chain.boundary().is_zero
 
 
@@ -1118,7 +1085,7 @@ class Presentation:
             {t: int(x) for t, x in zip(self._touched2, uinv[:, i]) if x} for i in keep
         ] + [{t: 1} for t in self._free2]
         self.generators = tuple(zip(self._cycles(gens), self.orders))
-        self.group = AbelianGroup(self.orders.count(0), [o for o in self.orders if o])
+        self.group = AbelianGroup(0, self.orders)
 
     def _coords(self, x: Mapping[int, int]) -> dict[int, int]:
         """The coordinates of a cycle, given by its entries on the k-faces."""

@@ -12,7 +12,6 @@ Connectivity bounds quoted by the claims:
 
     mu_n(n)     = floor((2n - 1) / 3) - 2          cycle-free, n rows
     mu_nm(n, m) = min(floor((2n + m) / 3) - 2, n - 2)   with m extra rows
-    nu_n(n)     = floor((2n + 1) / 3) - 2          directed matchings
     gamma_p(p)  = floor(2 (p - 1) / 3)             suspensions sym(p)
 
 A few statements are out of desk reach on purpose and are excluded from
@@ -63,7 +62,6 @@ __all__ = [
     "gamma_p",
     "mu_n",
     "mu_nm",
-    "nu_n",
     "run_claims",
 ]
 
@@ -93,13 +91,6 @@ def mu_nm(n: int, m: int) -> int:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     return min((2 * n + m) // 3 - 2, n - 2)
-
-
-def nu_n(n: int) -> int:
-    """floor((2n + 1)/3) - 2."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return (2 * n + 1) // 3 - 2
 
 
 def gamma_p(p: int) -> int:
@@ -253,7 +244,7 @@ def _exec_epimorphism(sub_key: str, amb_key: str, degree: int) -> tuple:
     # its domain is nonzero
     sub, amb = _complex(sub_key), _complex(amb_key)
     z = two_sphere().fundamental
-    cycle = is_cycle(z, sub)
+    cycle = all(sub.has_face(f) for f, _ in z.items()) and is_cycle(z)
     codomain = homology(amb, degrees=[degree]).group(degree)
     bounds = is_boundary(z, amb, mod=3)
     ok = cycle and codomain == AbelianGroup(0, (3,)) and not bounds
@@ -280,7 +271,7 @@ def _exec_nonbounding(name: str, key: str, mod: int) -> tuple:
     z = {"odd-sphere": odd_sphere, "tight-sphere": tight_sphere}[family](int(k)).fundamental
     tag = f" mod {mod}" if mod else ""
     c = _complex(key)
-    cyc = is_cycle(z, c)
+    cyc = is_cycle(z)
     bd = is_boundary(z, c, mod=mod)
     expected = f"fundamental class of {name} is a nonbounding cycle{tag} in {key}"
     return cyc and not bd, expected, f"{key}: cycle={cyc}, bounds{tag}={bd}"

@@ -48,5 +48,4 @@ def test_homology_and_betti_numbers_reach_the_sparse_layer_through_module_global
     below = {(recorded[s.parent].func, s.func) for s in recorded if s.parent is not None}
     assert ("homology.homology", "homology.boundary_matrix") in below
     assert ("homology.homology", "homology.snf") in below
-    assert ("homology.betti_numbers", "homology.rank_z") in below
     assert ("homology.betti_numbers", "homology.rank_mod_p") in below

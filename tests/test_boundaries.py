@@ -91,19 +91,19 @@ def chains(draw):
     k = draw(st.sampled_from(live or range(c.dim + 1)))
     if kind == "face":
         face = draw(st.sampled_from(c.faces(k)))
-        return c, Chain.from_simplex(face, draw(st.sampled_from([1, 2, 3])))
+        return c, Chain({face: draw(st.sampled_from([1, 2, 3]))})
     up = c.faces(k + 1)
     picked = draw(st.lists(st.sampled_from(up), min_size=1, max_size=4, unique=True)) if up else []
     z = Chain({}, degree=k)
     for face in picked:
-        z = z + Chain.from_simplex(face, draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))).boundary()
+        z = z + Chain({face: draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))}).boundary()
     gens = Presentation(c, k).generators
     if gens and kind != "boundary":
         gen, _ = draw(st.sampled_from(gens))
         z = z + gen.scale(draw(st.sampled_from([-6, -2, -1, 1, 2, 3])))
     if kind == "twisted":
         face = draw(st.sampled_from(c.faces(k)))
-        z = z + Chain.from_simplex(face, draw(st.sampled_from([2, 3, 6])))
+        z = z + Chain({face: draw(st.sampled_from([2, 3, 6]))})
     return c, z
 
 
@@ -117,7 +117,7 @@ def test_is_boundary_agrees_with_the_dense_oracle(case, p):
 def test_rp2_chains_that_are_cycles_mod_p_only():
     gen, order = Presentation(RP2, 1).generators[0]
     assert order == 2
-    face = Chain.from_simplex(RP2.faces(1)[0])
+    face = Chain({RP2.faces(1)[0]: 1})
     for p in (2, 3):
         for z in (gen + face.scale(p), face.scale(p), gen.scale(p) + face.scale(6)):
             assert not z.boundary().is_zero
@@ -193,7 +193,7 @@ def test_is_boundary_reduces_only_the_map_it_tests(p, monkeypatch):
     for k in range(0, built.dim):
         c = SimplicialComplex.from_facets(built.facets)  # nothing reduced on it yet
         calls.clear()
-        assert is_boundary(Chain.from_simplex(c.faces(k + 1)[0]).boundary(), c, mod=p)
+        assert is_boundary(Chain({c.faces(k + 1)[0]: 1}).boundary(), c, mod=p)
         assert len(calls) == 1 and calls[0][0].nrows == len(c.faces(k))
         assert not c._maps
 

@@ -17,6 +17,7 @@ reduces only the maps it does not find there.
 
 import importlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +30,6 @@ from cyclefree import (
     SparseIntMatrix,
     betti_numbers,
     boundary_matrix,
-    homological_connectivity,
     homology,
     is_boundary,
     make_spec,
@@ -77,6 +77,12 @@ def field_rank(p):
         return (rank_z(matrix) if p == 0 else rank_mod_p(matrix, p)), ()
 
     return reduce
+
+
+def ring(p):
+    """``_reduce``'s ring for ranks mod p, and the per-matrix reduction
+    it matches: over Q (p == 0) the core reads the integer maps."""
+    return (None, smith) if p == 0 else (p, field_rank(p))
 
 
 def per_matrix(faces, boundary, degrees, reduce=smith):
@@ -153,14 +159,23 @@ def pairs(draw):
 
 @st.composite
 def skips(draw):
-    """A complex, a degree, and row and column positions to skip in its d_k."""
+    """A complex, a degree, and masks of the rows and columns to skip in its d_k."""
     c = draw(st.one_of(complexes(range(7)), complexes([3, 40, 41, 90, 200]), relabelled_omegas()))
     k = draw(st.integers(-2, c.dim + 2))
 
-    def positions(n):
-        return st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
+    def bits(n):
+        return st.lists(st.booleans(), min_size=n, max_size=n).map(
+            lambda b: np.array(b, dtype=bool)
+        )
 
-    return c, k, draw(positions(len(c.faces(k - 1)))), draw(positions(len(c.faces(k))))
+    return c, k, draw(bits(len(c.faces(k - 1)))), draw(bits(len(c.faces(k))))
+
+
+def mask(n, positions):
+    """The positions as a boolean mask of length n."""
+    out = np.zeros(n, dtype=bool)
+    out[list(positions)] = True
+    return out
 
 
 @SETTINGS
@@ -171,7 +186,7 @@ def test_skipped_rows_and_columns_are_emptied_in_place(case):
     mat = boundary_matrix(c, k, skip_rows, skip_cols)
     assert (mat.nrows, mat.ncols) == (full.nrows, full.ncols)
     assert mat.to_dense() == [
-        [0 if i in skip_rows or j in skip_cols else v for j, v in enumerate(row)]
+        [0 if skip_rows[i] or skip_cols[j] else v for j, v in enumerate(row)]
         for i, row in enumerate(full.to_dense())
     ]
 
@@ -196,12 +211,13 @@ def test_cleared_homology_equals_per_matrix_smith_forms(c):
 @SETTINGS
 @given(st.one_of(complexes(range(7)), relabelled_omegas()), st.sampled_from([0, 2, 3]))
 def test_cleared_betti_numbers_equal_per_matrix_ranks(c, p):
-    want = whole(c, field_rank(p))
+    field, reduce = ring(p)
+    want = whole(c, reduce)
     assert betti_numbers(c, p) == {k: g.rank for k, g in want[0].items()}
-    assert _reduce(fresh(c), list(want[0]), p) == want
+    assert _reduce(fresh(c), list(want[0]), field) == want
     # unreduced: the pair with {empty face}, over Z too
     empty = SimplicialComplex.from_facets([[]])
-    for field, reduce in ((p, field_rank(p)), (None, smith)):
+    for field, reduce in (ring(p), (None, smith)):
         unreduced = whole(c, reduce, reduced=False)
         assert _reduce(fresh(c), list(unreduced[0]), field, empty) == unreduced
 
@@ -232,7 +248,7 @@ def query_sequences(draw):
     """A complex and queries of ``_reduce``: field, reduced or not, degrees."""
     c = draw(st.one_of(complexes(range(7)), relabelled_omegas()))
     degrees = st.lists(st.integers(-1, c.dim + 1), min_size=1, max_size=3)
-    query = st.tuples(st.sampled_from([None, 0, 2, 3]), st.booleans(), degrees)
+    query = st.tuples(st.sampled_from([None, 2, 3]), st.booleans(), degrees)
     return c, draw(st.lists(query, min_size=1, max_size=8))
 
 
@@ -262,11 +278,51 @@ def test_a_map_is_reduced_once_per_complex(reduced):
     assert reduced
     reduced.clear()
     for k in range(-1, c.dim + 1):
-        assert homology(c, degrees=[k]).groups == {k: h[k]}
-    assert homological_connectivity(c) == 1
+        assert homology(c, degrees=[k]).groups == {k: h.group(k)}
     for k in range(0, c.dim):
-        assert is_boundary(Chain.from_simplex(c.faces(k + 1)[0]).boundary(), c)
+        assert is_boundary(Chain({c.faces(k + 1)[0]: 1}).boundary(), c)
     assert not reduced
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The names of the rank functions the homology core calls, in order."""
+    module = importlib.import_module("cyclefree.homology")
+    calls = []
+    for name in ("snf", "rank_z", "rank_mod_p"):
+        f = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, f=f: calls.append(name) or f(*a)
+        )
+    return calls
+
+
+def test_ranks_over_q_read_the_integer_maps_after_homology(ranked):
+    c = omega(make_spec(5))  # d_3 has a 43 x 24 Morse boundary; the others are empty
+    h = homology(c)
+    assert ranked == ["snf"]
+    ranked.clear()
+    assert betti_numbers(c, 0) == {k: h.group(k).rank for k in range(-1, c.dim + 1)}
+    assert ranked == []
+
+
+def test_homology_reads_the_maps_of_ranks_over_q(ranked):
+    c = omega(make_spec(5))
+    betti = betti_numbers(c, 0)
+    assert ranked == ["snf"]
+    ranked.clear()
+    assert {k: g.rank for k, g in homology(c).groups.items()} == betti
+    assert ranked == []
+
+
+@SETTINGS
+@given(st.one_of(complexes(range(7)), relabelled_omegas()))
+def test_no_query_keeps_maps_under_a_ring_of_its_own_for_q(c):
+    betti_numbers(c, 0, through=0)
+    betti_numbers(c, 0)
+    betti_numbers(c, 3)
+    homology(c, reduced=False)
+    assert {ring for ring, _ in c._maps} <= {None, 3}
 
 
 def test_only_maps_with_a_critical_face_on_both_sides_are_reduced(reduced):
@@ -323,8 +379,9 @@ def test_relative_homology_of_random_pairs_equals_per_matrix_assembly(pair, p):
     assert relative_homology(c, sub).groups == want[0]
     assert _reduce(fresh(c), list(want[0]), None, sub) == want
     # ranks over Q, F_2 and F_3 of the pair, through the same core
-    want = relative_whole(c, sub, field_rank(p))
-    assert _reduce(fresh(c), list(want[0]), p, sub) == want
+    field, reduce = ring(p)
+    want = relative_whole(c, sub, reduce)
+    assert _reduce(fresh(c), list(want[0]), field, sub) == want
 
 
 @SETTINGS
@@ -346,7 +403,7 @@ def test_cleared_columns_lie_in_the_lattice_of_the_kept_ones(k):
     pivots = set(_sparse_eliminate(transpose(boundary_matrix(c, k + 1)))[0])
     assert pivots
     full = boundary_matrix(c, k)
-    kept = boundary_matrix(c, k, skip_cols=pivots)
+    kept = boundary_matrix(c, k, skip_cols=mask(full.ncols, pivots))
     # The kept lattice lies inside the full one, so equal Smith forms
     # mean equal lattices: this covers every cleared column at once.
     assert snf(kept) == snf(full)
@@ -360,7 +417,7 @@ def test_cleared_coboundary_columns_lie_in_the_lattice_of_the_kept_ones(k):
     pivots = set(_sparse_eliminate(boundary_matrix(c, k))[0])
     assert pivots
     full = transpose(boundary_matrix(c, k + 1))
-    kept = transpose(boundary_matrix(c, k + 1, skip_rows=pivots))
+    kept = transpose(boundary_matrix(c, k + 1, skip_rows=mask(full.ncols, pivots)))
     # As above, with rows and columns swapped: the k-faces that were
     # pivot columns of d_k are the rows of d_{k+1} left out, the columns
     # of its coboundary.
@@ -404,10 +461,10 @@ def test_integer_groups_predict_field_betti_numbers(build, primes_with_torsion):
     for p in (2, 3):
 
         def divisible(k):
-            return sum(1 for t in h[k].torsion if t % p == 0)
+            return sum(1 for t in h.group(k).torsion if t % p == 0)
 
         if any(divisible(k) for k in h.groups):
             seen.add(p)
-        want = {k: h[k].rank + divisible(k) + divisible(k - 1) for k in range(-1, c.dim + 1)}
+        want = {k: h.group(k).rank + divisible(k) + divisible(k - 1) for k in range(-1, c.dim + 1)}
         assert betti_numbers(c, p) == want
     assert seen == primes_with_torsion

@@ -1,13 +1,18 @@
 """The package's ``__all__`` lists exactly its public names.
 
 Each exporting module declares its own public names in ``__all__``,
-and the package's list is those lists joined.
+and the package's list is those lists joined.  Every listed name has a
+caller outside the tests: the library itself or the benchmark.
 """
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import cyclefree
+
+from test_bench_contract import spans
 
 MODULES = [
     importlib.import_module(f"cyclefree.{name}")
@@ -47,3 +52,20 @@ def test_each_exporting_module_binds_every_name_it_lists():
 
 def test_package_list_is_the_module_lists_joined():
     assert cyclefree.__all__ == [name for m in MODULES for name in m.__all__]
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # A use is a name or an attribute in code; strings, ``__all__``
+    # entries and definitions do not count.  The one exception is a
+    # function the benchmark's tracer wraps by its dotted path
+    # (``rank_z``, which nothing calls since ranks over Q read the
+    # integer maps).
+    root = Path(__file__).resolve().parent.parent
+    used = {path.rsplit(".", 1)[1] for paths in spans.LAYERS.values() for path in paths}
+    for path in [*(root / "src" / "cyclefree").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(cyclefree.__all__) - used) == []

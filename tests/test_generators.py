@@ -19,6 +19,11 @@ from cyclefree import (
 )
 
 
+def is_cycle_in(chain, c):
+    """Whether the chain is a cycle on faces of the complex."""
+    return all(c.has_face(f) for f, _ in chain.items()) and is_cycle(chain)
+
+
 def domino(a, b):
     return SimplicialComplex.from_facets([[a], [b]])
 
@@ -41,7 +46,7 @@ class TestHexagon:
         hx = hexagon()
         z = hx.fundamental
         assert z.degree == 1 and len(z) == 6
-        assert is_cycle(z, hx.complex)
+        assert is_cycle_in(z, hx.complex)
 
 
 class TestTwoSphere:
@@ -53,7 +58,7 @@ class TestTwoSphere:
     def test_fundamental_cycle_generates(self):
         e = two_sphere()
         assert e.fundamental.degree == 2 and len(e.fundamental) == 12
-        assert is_cycle(e.fundamental, e.complex)
+        assert is_cycle_in(e.fundamental, e.complex)
         (coord,) = Presentation(e.complex, 2).class_of(e.fundamental)
         assert abs(coord) == 1
 
@@ -68,7 +73,7 @@ class TestOddSphere:
         assert homology(e.complex).nontrivial() == {2 * k - 1: AbelianGroup(1)}
         # join of 2k dominoes: one term per choice of vertex in each
         assert len(e.fundamental) == 2 ** (2 * k)
-        assert is_cycle(e.fundamental, e.complex)
+        assert is_cycle_in(e.fundamental, e.complex)
 
     def test_sits_on_the_one_free_row_board(self):
         e = odd_sphere(1)
@@ -89,7 +94,7 @@ class TestTightSphere:
         assert e.ambient == make_spec(8)
         assert homology(e.complex).nontrivial() == {4: AbelianGroup(1)}
         assert e.fundamental.degree == 4
-        assert is_cycle(e.fundamental, e.complex)
+        assert is_cycle_in(e.fundamental, e.complex)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ def test_omega_5_2_in_degree_3():
         assert pres.class_of(gen) == tuple(int(i == j) for i in range(n))
     rng = random.Random(5)
     for face in rng.sample(c.faces(4), 25):
-        assert pres.class_of(Chain.from_simplex(face).boundary()) == (0,) * n
+        assert pres.class_of(Chain({face: 1}).boundary()) == (0,) * n
     gen, order = pres.generators[0]
     assert order == 2
     assert not is_boundary(gen, c)

@@ -16,7 +16,6 @@ from cyclefree import (
     gamma_p,
     mu_n,
     mu_nm,
-    nu_n,
     run_claims,
     theta,
     theta1,
@@ -33,9 +32,6 @@ from cyclefree.verify import (
 class TestBounds:
     def test_square_board_lower_bound(self):
         assert [mu_n(n) for n in range(2, 8)] == [-1, -1, 0, 1, 1, 2]
-
-    def test_nonvanishing_degree(self):
-        assert [nu_n(n) for n in range(2, 8)] == [-1, 0, 1, 1, 2, 3]
 
     def test_free_row_bound(self):
         assert mu_nm(4, 2) == 1
