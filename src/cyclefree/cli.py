@@ -110,18 +110,19 @@ def _read(args, parser: argparse.ArgumentParser):
 
 
 def _cmd_homology(args, parser: argparse.ArgumentParser) -> int:
-    complex_ = _read(args, parser)
-    reduced = not args.unreduced
+    kind, lo = ("unreduced", 0) if args.unreduced else ("reduced", -1)
     degrees = None
     if args.max_dim is not None:
-        degrees = list(range(0 if args.unreduced else -1, args.max_dim + 1))
+        if args.max_dim < lo:
+            parser.error(f"--max-dim {args.max_dim} is below {lo}, the lowest {kind} degree")
+        degrees = list(range(lo, args.max_dim + 1))
+    complex_ = _read(args, parser)
     try:  # homology checks that --mod is a prime before any work
         res = homology(
-            complex_, degrees=degrees, coefficients=args.mod, reduced=reduced
+            complex_, degrees=degrees, coefficients=args.mod, reduced=not args.unreduced
         )
     except ValueError as exc:
         parser.error(str(exc))
-    kind = "unreduced" if args.unreduced else "reduced"
     field = f"F_{args.mod}" if args.mod else "Z"
     print(f"{kind} homology, {field} coefficients")
     for k in sorted(res.groups):

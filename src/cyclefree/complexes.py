@@ -46,7 +46,7 @@ class SimplicialComplex:
         self._faces: dict[int, tuple] = {}
         self._findex: dict[int, dict] = {}
         self._maps: dict[tuple, dict] = {}  # reduced boundary maps, see homology._reduce
-        self._matchings: dict = {}  # Morse matchings by subcomplex, see homology._matching
+        self._matchings: dict = {}  # each face's Morse role, by subcomplex: homology._matching
 
     # -- construction -------------------------------------------------
 

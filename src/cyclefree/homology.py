@@ -459,12 +459,12 @@ def _leftover_block(leftover: dict[int, dict[int, int]]) -> tuple[list[int], np.
     return touched, dense
 
 
-def _smith_factors(matrix: SparseIntMatrix) -> tuple[int, ...]:
-    """The invariant factors: unit pivots are split off sparsely, and
-    whatever remains (entries all of absolute value >= 2) is finished by
-    the dense reduction.  The two stages are glued by ``diag(1,...,1) (+)
-    leftover``, whose invariant factors are the 1s followed by those of
-    the leftover block.
+def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
+    """Invariant factors of an integer matrix (Smith normal form diagonal):
+    unit pivots are split off sparsely, and whatever remains (entries all
+    of absolute value >= 2) is finished by the dense reduction.  The two
+    stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
+    factors are the 1s followed by those of the leftover block.
     """
     pivot_cols, leftover = _sparse_eliminate(matrix)
     rest = dense_snf(_leftover_block(leftover)[1]) if leftover else ()
@@ -473,12 +473,7 @@ def _smith_factors(matrix: SparseIntMatrix) -> tuple[int, ...]:
 
 def rank_z(matrix: SparseIntMatrix) -> int:
     """Exact rank over Z (equivalently over Q): the number of invariant factors."""
-    return len(_smith_factors(matrix))
-
-
-def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
-    """Invariant factors of an integer matrix (Smith normal form diagonal)."""
-    return _smith_factors(matrix)
+    return len(snf(matrix))
 
 
 def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
@@ -715,16 +710,20 @@ def _vertex_groups(complex_: SimplicialComplex) -> list[list[int]]:
     return groups
 
 
+# a face's role in _matching if it is not matched up; below _CRITICAL, no Morse row
+_CRITICAL, _DOWN, _OUT = -1, -2, -3
+
+
 def _matching(
     complex_: SimplicialComplex, sub: Optional[SimplicialComplex]
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The chains of the pair (complex, sub), and an acyclic matching on them.
+) -> dict[int, np.ndarray]:
+    """An acyclic matching on the chains of the pair (complex, sub).
 
-    Returns ``(chains, up)`` by degree -1..dim+1: ``chains[k]`` masks the
-    k-faces that are chains (see :func:`_reduce`), and ``up[k]`` holds,
-    for each k-face, the position in faces(k+1) of the face it is matched
-    up to, or -1.  Both are computed once and kept on the complex by
-    ``sub``.
+    Returns one array per degree -1..dim+1 that records each k-face's
+    role once: the position in faces(k+1) of the face it is matched up
+    to, or ``_CRITICAL`` (a chain left unmatched), ``_DOWN`` (matched
+    down) or ``_OUT`` (not a chain, see :func:`_reduce`).  It is
+    computed once and kept on the complex by ``sub``.
 
     The matching is the iterated element matching (Jonsson, *Simplicial
     Complexes of Graphs*, ch. 4): for each vertex v in turn, every chain
@@ -739,7 +738,8 @@ def _matching(
     down and one without v only up, so the degrees do not interact
     there, and each is one vector step: the (k+1)-faces holding v,
     grouped by vertex once, reach s through the boundary index
-    (``_boundary_faces``) at the column that holds v.
+    (``_boundary_faces``) at the column that holds v.  A face is free for
+    the step exactly while it reads ``_CRITICAL``.
     """
     found = complex_._matchings.get(sub)
     if found is not None:
@@ -747,13 +747,12 @@ def _matching(
     if sub is not None:
         position = {v: i for i, v in enumerate(complex_.vertices)}
         inside = np.array([position[v] for v in sub.vertices], dtype=np.intp)
-    chains, up = {}, {}
+    match = {}
     for k in range(complex_.dim + 1, -2, -1):  # top down, see SimplicialComplex.f_vector
-        chains[k] = np.full(len(complex_._face_rows(k)), sub is None or k >= 0)
+        n = len(complex_._face_rows(k))
+        match[k] = np.full(n, _CRITICAL if sub is None or k >= 0 else _OUT, dtype=np.intp)
         if sub is not None and k >= 0:
-            chains[k][complex_._find(inside[sub._face_rows(k)])] = False
-        up[k] = np.full(len(chains[k]), -1, dtype=np.intp)
-    free = {k: chain.copy() for k, chain in chains.items()}
+            match[k][complex_._find(inside[sub._face_rows(k)])] = _OUT
     holders = {}  # degree -> (faces, the faces they cover, group bounds by vertex)
     for k in range(0, complex_.dim + 1):
         rows = complex_._face_rows(k)
@@ -764,12 +763,12 @@ def _matching(
     for v in (v for group in _vertex_groups(complex_) for v in group):
         for k, (faces, covered, bounds) in holders.items():
             t, s = faces[bounds[v]:bounds[v + 1]], covered[bounds[v]:bounds[v + 1]]
-            both = free[k][t] & free[k - 1][s]
+            both = (match[k][t] == _CRITICAL) & (match[k - 1][s] == _CRITICAL)
             t, s = t[both], s[both]
-            free[k][t] = free[k - 1][s] = False
-            up[k - 1][s] = t
-    complex_._matchings[sub] = chains, up
-    return chains, up
+            match[k][t] = _DOWN
+            match[k - 1][s] = t
+    complex_._matchings[sub] = match
+    return match
 
 
 def _matched_boundary(
@@ -779,14 +778,11 @@ def _matched_boundary(
     that are not chains, the rows of (k-1)-faces matched down and the
     columns of k-faces matched up are left out, and the matched pairs
     below ride along as forced pivots."""
-    chains, up = _matching(complex_, sub)
-    skip_rows = ~chains[k - 1]
-    if k - 2 in up:
-        skip_rows[up[k - 2][up[k - 2] >= 0]] = True  # matched down
-    skip_cols = ~chains[k] | (up[k] >= 0)
-    mat = boundary_matrix(complex_, k, skip_rows, skip_cols)
-    matched = np.flatnonzero(up[k - 1] >= 0)
-    mat._forced = dict(zip(matched.tolist(), up[k - 1][matched].tolist()))
+    match = _matching(complex_, sub)
+    below, at = match[k - 1], match[k]
+    mat = boundary_matrix(complex_, k, below < _CRITICAL, (at >= 0) | (at == _OUT))
+    matched = np.flatnonzero(below >= 0)
+    mat._forced = dict(zip(matched.tolist(), below[matched].tolist()))
     return mat
 
 
@@ -812,7 +808,10 @@ def _reduce(
 
     Each map d_k is reduced by rows, so its pivots are k-faces.  Four
     rules shape the work, each read off the matching alone; none changes
-    the Smith form (rank) of d_k.
+    the Smith form (rank) of d_k.  The matching records each face's role
+    once (see :func:`_matching`): its partner if matched up, else
+    ``_CRITICAL``, ``_DOWN`` or ``_OUT``, and every count below (chains,
+    critical faces, matched pairs) is a tally of those arrays.
 
     *Matched columns.*  :func:`_matching` pairs chains s < t one degree
     apart, each pair an elementary reduction (Kaczynski, Mrozek and
@@ -859,17 +858,17 @@ def _reduce(
     degree with no chains at all, where there are no pairs either.
     """
     needed = {d for k in degrees for d in (k, k + 1)}
-    chains, up = _matching(complex_, sub)
-    around = {j for d in needed for j in (d - 1, d, d + 1)}
-    n = {k: int(chains[k].sum()) if k in chains else 0 for k in around}
-    # pairs[k]: the (k-1)-faces matched up to k-faces; a k-chain is
-    # matched up, matched down or critical
-    pairs = {k: int((up[k - 1] >= 0).sum()) if k - 1 in up else 0 for k in around}
-    critical = {k: n[k] - pairs[k] - pairs[k + 1] for d in needed for k in (d - 1, d)}
+    match, none = _matching(complex_, sub), np.empty(0, dtype=np.intp)
+    # roles[k][code]: the k-faces with that code (a negative one indexes
+    # from the end); roles[k][0]: those matched up
+    roles = {
+        k: np.bincount(np.minimum(match.get(k, none), 0) % 4, minlength=4).tolist()
+        for k in needed | {d - 1 for d in needed}
+    }
     maps: dict[int, _Map] = complex_._maps.setdefault((field, sub), {})
     for k in needed - maps.keys():
-        if not critical[k] or not critical[k - 1]:
-            maps[k] = _Map(pairs[k], ())
+        if not roles[k][_CRITICAL] or not roles[k - 1][_CRITICAL]:
+            maps[k] = _Map(roles[k - 1][0], ())
             continue
         mat = _matched_boundary(complex_, k, sub)
         if field is None:
@@ -877,11 +876,8 @@ def _reduce(
             maps[k] = _Map(len(factors), tuple(f for f in factors if f > 1))
         else:
             maps[k] = _Map(rank_mod_p(mat, field), ())
-    groups = {
-        k: AbelianGroup(n[k] - maps[k].rank - maps[k + 1].rank, maps[k + 1].torsion)
-        for k in degrees
-    }
-    return groups, maps
+    rank = {k: sum(roles[k]) - roles[k][_OUT] - maps[k].rank - maps[k + 1].rank for k in degrees}
+    return {k: AbelianGroup(rank[k], maps[k + 1].torsion) for k in degrees}, maps
 
 
 def homology(
@@ -999,10 +995,9 @@ def is_boundary(
     if any(c % mod if mod else c for _, c in chain.boundary().items()):
         return False
     k = chain.degree
-    _, up = _matching(complex_, None)
-    if k - 1 in up:
-        down = set(up[k - 1][up[k - 1] >= 0].tolist())
-        vec = {i: c for i, c in vec.items() if i not in down}
+    if vec:  # else the zero chain, in a degree the matching may lack
+        roles = _matching(complex_, None)[k][list(vec)].tolist()
+        vec = {i: c for (i, c), role in zip(vec.items(), roles) if role != _DOWN}
     if not vec:
         return True
     return _in_span(_matched_boundary(complex_, k + 1, None), vec, mod)

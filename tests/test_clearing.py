@@ -41,6 +41,7 @@ from cyclefree import (
     theta,
 )
 from cyclefree.homology import (
+    _CRITICAL,
     _in_span,
     _matched_boundary,
     _matching,
@@ -331,14 +332,6 @@ def test_only_maps_with_a_critical_face_on_both_sides_are_reduced(reduced):
     assert len(reduced) == 1
 
 
-def critical_faces(chains, up, k):
-    """The k-chains matched neither up nor down, as a mask."""
-    mask = chains[k] & (up[k] < 0)
-    if k - 1 in up:
-        mask[up[k - 1][up[k - 1] >= 0]] = False
-    return mask
-
-
 def test_an_empty_morse_boundary_is_all_forced_pivots():
     """Where either side of d_k has no critical face, ``_reduce`` reads
     the map off the matching: one unit per matched (k-1, k) pair.  The
@@ -353,13 +346,13 @@ def test_an_empty_morse_boundary_is_all_forced_pivots():
     def check(pair, p):
         c, sub = pair
         for s in (None, empty, sub):
-            chains, up = _matching(c, s)
+            match = _matching(c, s)
             for k in range(0, c.dim + 2):
-                below, above = critical_faces(chains, up, k - 1), critical_faces(chains, up, k)
-                if below.any() and above.any():
+                below, above = (match[k - 1] == _CRITICAL).any(), (match[k] == _CRITICAL).any()
+                if below and above:
                     continue
-                sides.add((bool(below.any()), bool(above.any())))
-                matched = int((up[k - 1] >= 0).sum())
+                sides.add((bool(below), bool(above)))
+                matched = int((match[k - 1] >= 0).sum())
                 pivots, leftover = _sparse_eliminate(_matched_boundary(c, k, s), p)
                 assert len(pivots) == matched
                 assert not leftover

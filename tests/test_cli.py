@@ -104,6 +104,21 @@ class TestReaders:
         assert "F_3 coefficients" in text
         assert "H_2: dimension 43" in text
 
+    @pytest.mark.parametrize(
+        "flags, lowest, group",
+        [((), -1, "H_-1 = 0"), (("--unreduced",), 0, "H_0 = Z")],
+        ids=["reduced", "unreduced"],
+    )
+    def test_max_dim_below_the_lowest_degree_is_a_usage_error(
+        self, omega5, capsys, flags, lowest, group
+    ):
+        code, text = run(capsys, "homology", "--in", omega5, "--max-dim", str(lowest), *flags)
+        assert code == 0 and text.splitlines()[1:] == [group]
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", "--in", omega5, "--max-dim", str(lowest - 1), *flags])
+        assert exc.value.code == 2
+        assert f"below {lowest}, the lowest" in capsys.readouterr().err
+
     def test_mod_must_be_prime(self, omega5, capsys):
         for mod in ("4", "0"):
             with pytest.raises(SystemExit) as exc:
