@@ -207,12 +207,6 @@ def make_spec(n: int, m: int = 0, p: int = 0) -> BoardSpec:
     return BoardSpec(board, x, y, Bijection.identity(x))
 
 
-def _arcs(config: frozenset[Square], spec: BoardSpec) -> dict[int, tuple[int, Square]]:
-    """Map each row x with an outgoing arc to (alpha(y), the square giving it)."""
-    x, y, alpha = spec.x_rows, spec.y_cols, spec.alpha
-    return {sq.row: (alpha(sq.col), sq) for sq in config if sq.row in x and sq.col in y}
-
-
 def alpha_cycles(config: Iterable, spec: BoardSpec) -> list[list[Square]]:
     """The cycles of the digraph induced on X by a rook configuration.
 
@@ -231,11 +225,9 @@ def alpha_cycles(config: Iterable, spec: BoardSpec) -> list[list[Square]]:
     squares = list(config)
     if not is_nontaking(squares):
         raise ValueError(f"configuration is taking: {sorted(squares)}")
-    return _cycles(_arcs(as_config(squares), spec))
-
-
-def _cycles(arcs: dict[int, tuple[int, Square]]) -> list[list[Square]]:
-    """The cycles of the arcs of a non-taking configuration, as in alpha_cycles."""
+    xs, ys, alpha = spec.x_rows, spec.y_cols, spec.alpha
+    # each row with an outgoing arc -> (the row it enters, the square giving it)
+    arcs = {s.row: (alpha(s.col), s) for s in as_config(squares) if s.row in xs and s.col in ys}
     cycles: list[list[Square]] = []
     state: dict[int, int] = {}  # 0 = in progress, 1 = done
     for start in sorted(arcs):
@@ -257,6 +249,25 @@ def _cycles(arcs: dict[int, tuple[int, Square]]) -> list[list[Square]]:
             state[x] = 1
     cycles.sort(key=lambda cyc: cyc[0].row)
     return cycles
+
+
+def _has_cycle(config: Iterable, spec: BoardSpec) -> bool:
+    """Whether a non-taking configuration induces a cycle through ``spec``:
+    taken in any order, an arc x -> h closes one iff the path ending at x
+    starts at h, and otherwise joins two paths, held by their ends."""
+    start: dict[int, int] = {}  # path end -> its start
+    end: dict[int, int] = {}  # path start -> its end
+    x_rows, heads = spec.x_rows, spec.alpha._fwd
+    for r, c in config:
+        h = heads.get(c)  # None off Y
+        if h is None or r not in x_rows:
+            continue
+        first = start.get(r, r)
+        if first == h:
+            return True
+        last = end.get(h, h)
+        start[last], end[first] = first, last
+    return False
 
 
 def reduced_spec(spec: BoardSpec, v) -> BoardSpec:

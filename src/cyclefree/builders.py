@@ -80,9 +80,14 @@ def _maximal_configs(
 
     Later rows use one column each, so a branch whose unused needed
     columns are not all on later rows, or outnumber them, holds no
-    maximal leaf and is cut.  Every other column left free at a leaf
-    belongs to one skipped row with an arc, and the leaf is kept when
-    each such arc closes a cycle and the count is already at the cap.
+    maximal leaf and is cut.  The arcs form paths, held by their ends
+    (``start``: end -> start, ``end``: start -> end).  An arc x -> h
+    leaves a path's end and enters a path's start, so it closes a cycle
+    iff the path ending at x starts at h; otherwise it joins the two
+    paths, and backtracking undoes the join.  Every column left free at
+    a leaf is an arc of one skipped row r, so the leaf is maximal when
+    ``seen & ~used`` is 0, or when the count is at the cap and each r's
+    free columns are none or the one whose arc enters r's path start.
 
     >>> sorted(map(sorted, _maximal_configs(full_board(2), make_spec(2))))
     [[Square(row=1, col=2)], [Square(row=2, col=1)]]
@@ -102,50 +107,52 @@ def _maximal_configs(
         return None
 
     by_row = itertools.groupby(squares, key=lambda s: s.row)
-    rows = [[(bits[s.col], s, head(s)) for s in row] for _, row in by_row]
+    rows = [(r, [(bits[s.col], s, head(s)) for s in row]) for r, row in by_row]
     n = len(rows)
-    mask = [sum(b for b, _, _ in row) for row in rows]
-    bare = [sum(b for b, _, h in row if h is None) for row in rows]
+    mask = [sum(b for b, _, _ in row) for _, row in rows]
+    bare = [sum(b for b, _, h in row if h is None) for _, row in rows]
+    into = {h: b for _, row in rows for b, _, h in row if h is not None}  # arc column into h
     later = [0] * (n + 1)  # the columns of rows i onward
     for i in reversed(range(n)):
         later[i] = later[i + 1] | mask[i]
-    succ: dict[int, int] = {}  # the arcs of the configuration
+    start: dict[int, int] = {}  # the end of each path of arcs -> its start
+    end: dict[int, int] = {}  # and its start -> its end
     config: list[Square] = []
-    skipped: list[list] = []
+    skipped: list[tuple[int, int]] = []  # (row, mask) of each skipped row
     found: list[frozenset[Square]] = []
-
-    def closes_cycle(row: int, node: int | None) -> bool:
-        # only asked for a free column, whose arc enters a path start
-        while node is not None:
-            if node == row:
-                return True
-            node = succ.get(node)
-        return False
 
     def extend(i: int, used: int, need: int, seen: int, cycles: int) -> None:
         wait = need & ~used
         if wait & ~later[i] or wait.bit_count() > n - i:
             return
         if i == n:
-            free = [(s.row, h) for row in skipped for b, s, h in row if not b & used]
-            if not free or cycles == max_cycles and all(closes_cycle(*f) for f in free):
-                found.append(frozenset(config))
+            if seen & ~used and (  # free columns, each an arc of one skipped row
+                cycles < max_cycles
+                or any(m & ~used not in (0, into.get(start.get(r, r))) for r, m in skipped)
+            ):
+                return
+            found.append(frozenset(config))
             return
-        skipped.append(rows[i])
+        x, row = rows[i]
+        skipped.append((x, mask[i]))
         extend(i + 1, used, need | bare[i] | (seen & mask[i]), seen | mask[i], cycles)
         skipped.pop()
-        for b, s, h in rows[i]:
+        first = start.get(x, x)  # the start of the path that x ends
+        for b, s, h in row:
             if b & used:
                 continue
-            closing = closes_cycle(s.row, h)
+            closing = first == h
             if closing and cycles == max_cycles:
                 continue
+            joins = h is not None and not closing
+            if joins:  # the path first..x and the path h..last become one
+                last = end.get(h, h)
+                start[last], end[first] = first, last
             config.append(s)
-            if h is not None:
-                succ[s.row] = h
             extend(i + 1, used | b, need, seen, cycles + closing)
-            succ.pop(s.row, None)
             config.pop()
+            if joins:
+                start[last], end[first] = h, x
 
     extend(0, 0, 0, 0, 0)
     return frozenset(found)

@@ -111,15 +111,14 @@ def _read(args, parser: argparse.ArgumentParser):
 
 def _cmd_homology(args, parser: argparse.ArgumentParser) -> int:
     kind, lo = ("unreduced", 0) if args.unreduced else ("reduced", -1)
-    degrees = None
-    if args.max_dim is not None:
-        if args.max_dim < lo:
-            parser.error(f"--max-dim {args.max_dim} is below {lo}, the lowest {kind} degree")
-        degrees = list(range(lo, args.max_dim + 1))
+    if args.max_dim is not None and args.max_dim < lo:
+        parser.error(f"--max-dim {args.max_dim} is below {lo}, the lowest {kind} degree")
     complex_ = _read(args, parser)
+    # H_k is 0 above the dimension, so --max-dim stops there
+    hi = complex_.dim if args.max_dim is None else min(args.max_dim, complex_.dim)
     try:  # homology checks that --mod is a prime before any work
         res = homology(
-            complex_, degrees=degrees, coefficients=args.mod, reduced=not args.unreduced
+            complex_, range(lo, max(hi, lo) + 1), coefficients=args.mod, reduced=not args.unreduced
         )
     except ValueError as exc:
         parser.error(str(exc))

@@ -22,11 +22,12 @@ write.
 
 from __future__ import annotations
 
+import functools
 import io
 from numbers import Integral
 from typing import Optional
 
-from .boards import BoardSpec, Square, _arcs, _cycles, is_nontaking
+from .boards import BoardSpec, Square, _has_cycle, is_nontaking
 from .complexes import SimplicialComplex
 
 __all__ = ["format_complex", "read_complex", "write_complex"]
@@ -77,6 +78,7 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
     facets: list[list[Square]] = []
     sources: list[tuple[int, str]] = []  # line number and text of each facet
     header: Optional[dict[str, str]] = None
+    parse = functools.lru_cache(maxsize=None)(_parse_square)  # each distinct token once
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -87,7 +89,7 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
                     raise ValueError(f"line {lineno}: a second !spec header")
                 header = _parse_header(line)
                 continue
-            facets.append([_parse_square(tok) for tok in line.split()])
+            facets.append(list(map(parse, line.split())))
             sources.append((lineno, line))
     spec = None
     if header is not None:
@@ -102,7 +104,7 @@ def read_complex(path) -> tuple[SimplicialComplex, Optional[BoardSpec]]:
         for (lineno, text), facet in zip(sources, facets):
             if not is_nontaking(facet):
                 problem = "is taking"
-            elif _cycles(_arcs(frozenset(facet), spec)):
+            elif _has_cycle(facet, spec):
                 problem = "induces a cycle under the !spec header"
             else:
                 continue
@@ -128,8 +130,11 @@ def format_complex(complex_: SimplicialComplex, spec: Optional[BoardSpec] = None
         y = ",".join(str(c) for c in sorted(spec.y_cols))
         a = ",".join(f"{c}:{r}" for c, r in sorted(spec.alpha.items()))
         out.write(f"!spec X={x} Y={y} alpha={a}\n")
-    for facet in sorted(sorted(f) for f in complex_.facets):
-        out.write(" ".join(f"{s[0]},{s[1]}" for s in facet) + "\n")
+    # facets sort as rows of vertex positions, each vertex formatted once
+    position = {v: i for i, v in enumerate(complex_.vertices)}
+    token = [f"{v[0]},{v[1]}" for v in complex_.vertices]
+    for row in sorted(sorted(map(position.__getitem__, f)) for f in complex_.facets):
+        out.write(" ".join([token[i] for i in row]) + "\n")
     return out.getvalue()
 
 

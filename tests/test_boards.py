@@ -18,7 +18,7 @@ from cyclefree import (
     omega,
     reduced_spec,
 )
-from cyclefree.boards import _arcs
+from cyclefree.boards import _has_cycle
 
 
 def test_square_is_a_plain_pair():
@@ -143,9 +143,12 @@ class TestBoardSpec:
 class TestInducedDigraph:
     def test_arcs_only_from_the_distinguished_block(self):
         s = make_spec(3, 1, 1)
-        arcs = _arcs(as_config([(1, 2), (-1, 3), (2, 4)]), s)
-        # (-1, 3) has a free row, (2, 4) a free column
-        assert arcs == {1: (2, Square(1, 2))}
+        # (-1, 3) has a free row and (3, 4) a free column, so neither
+        # continues the cycle 1 -> 2 -> 1 nor closes one of its own
+        config = [(1, 2), (2, 1), (-1, 3), (3, 4)]
+        assert alpha_cycles(config, s) == [[Square(1, 2), Square(2, 1)]]
+        assert _has_cycle(config, s)
+        assert not alpha_cycles(config[1:], s) and not _has_cycle(config[1:], s)
 
     def test_loop_is_a_cycle(self):
         s = make_spec(3)

@@ -119,6 +119,13 @@ class TestReaders:
         assert exc.value.code == 2
         assert f"below {lowest}, the lowest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [(), ("--unreduced",)], ids=["reduced", "unreduced"])
+    def test_max_dim_above_the_dimension_prints_every_degree_once(self, omega5, capsys, flags):
+        # each degree up to 10**9 was built and printed, one H_k = 0 line each
+        _, plain = run(capsys, "homology", "--in", omega5, *flags)
+        code, text = run(capsys, "homology", "--in", omega5, "--max-dim", "1000000000", *flags)
+        assert code == 0 and text == plain
+
     def test_mod_must_be_prime(self, omega5, capsys):
         for mod in ("4", "0"):
             with pytest.raises(SystemExit) as exc:

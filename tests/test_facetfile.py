@@ -5,12 +5,15 @@ import pytest
 
 from cyclefree import (
     SimplicialComplex,
+    alpha_cycles,
+    filtration_level,
     format_complex,
     make_spec,
     omega,
     read_complex,
     write_complex,
 )
+from cyclefree.boards import _has_cycle
 
 
 def test_roundtrip_without_spec(tmp_path):
@@ -185,6 +188,38 @@ def test_cyclic_facet_under_a_spec_rejected(tmp_path):
     path.write_text("1,2 2,1\n")
     c, spec = read_complex(path)
     assert spec is None and c.f_vector() == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "facet",
+    [
+        "3,1 1,2 2,3",  # the 3-cycle 1->2->3->1, its last arc listed first
+        "2,3 4,1 1,2 3,4",  # 1->2 joins 2->3 and 4->1 at both ends, 3->4 closes
+    ],
+    ids=["3-cycle", "4-cycle"],
+)
+def test_cycle_listed_out_of_path_order_rejected(tmp_path, facet):
+    path = tmp_path / "cyclic.facets"
+    path.write_text(f"!spec X=1,2,3,4 Y=1,2,3,4 alpha=1:1,2:2,3:3,4:4\n1,2\n{facet}\n")
+    with pytest.raises(ValueError, match=f"line 3: facet '{facet}' induces a cycle"):
+        read_complex(path)
+
+
+def test_arc_joining_two_paths_accepted(tmp_path):
+    # 1->2 and 3->4 are joined by 2->3 into the path 1->2->3->4
+    path = tmp_path / "joined.facets"
+    path.write_text("!spec X=1,2,3,4 Y=1,2,3,4 alpha=1:1,2:2,3:3,4:4\n3,4 1,2 2,3\n")
+    c, spec = read_complex(path)
+    assert c.f_vector() == (3, 3, 1) and spec.x_rows == {1, 2, 3, 4}
+
+
+def test_path_rule_agrees_with_alpha_cycles():
+    spec = make_spec(5)
+    c = filtration_level("delta", 5, 5)  # every non-taking configuration
+    faces = [face for k in range(c.dim + 1) for face in c.faces(k)]
+    assert len(faces) == 1545
+    for face in faces:
+        assert _has_cycle(face, spec) == bool(alpha_cycles(face, spec)), face
 
 
 def test_output_is_deterministic():
