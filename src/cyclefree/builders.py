@@ -155,6 +155,7 @@ def _maximal_configs(
                 start[last], end[first] = h, x
 
     extend(0, 0, 0, 0, 0)
+    del extend  # it refers to itself, so found would wait for the cyclic collector
     return frozenset(found)
 
 
@@ -171,7 +172,7 @@ def delta(board: Iterable) -> SimplicialComplex:
     >>> delta([]).dim
     -1
     """
-    return SimplicialComplex(_maximal_configs(board, None), nonvoid=True)
+    return SimplicialComplex(_maximal_configs(board, None))
 
 
 def omega(spec: BoardSpec) -> SimplicialComplex:
@@ -187,7 +188,7 @@ def omega(spec: BoardSpec) -> SimplicialComplex:
     >>> omega(make_spec(0)).dim
     -1
     """
-    return SimplicialComplex(_maximal_configs(spec.board, spec), nonvoid=True)
+    return SimplicialComplex(_maximal_configs(spec.board, spec))
 
 
 # -- column/row restrictions ---------------------------------------------
@@ -247,7 +248,7 @@ def directed_matching(n: int) -> SimplicialComplex:
     if n < 1:
         raise ValueError("need n >= 1")
     board = full_board(n) - make_spec(n).loop_squares()
-    return SimplicialComplex(_maximal_configs(board, None), nonvoid=True)
+    return SimplicialComplex(_maximal_configs(board, None))
 
 
 def filtration_level(family: str, n: int, p: int) -> SimplicialComplex:
@@ -267,7 +268,7 @@ def filtration_level(family: str, n: int, p: int) -> SimplicialComplex:
     board = spec.board
     if family == "dm":
         board = board - spec.loop_squares()
-    return SimplicialComplex(_maximal_configs(board, spec, p), nonvoid=True)
+    return SimplicialComplex(_maximal_configs(board, spec, p))
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,8 @@ integer keys of rows (see :func:`_keys`).
 The empty complex comes in two flavours that matter for reduced
 homology.  The *void* complex has no faces at all, while the complex
 ``{<empty face>}`` has the empty face as its only face.  ``from_facets([])``
-builds the former, ``from_facets([[]])`` the latter.
+builds the former, ``from_facets([[]])`` the latter: a complex is void
+exactly when it has no facet.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ __all__ = ["SimplicialComplex", "intersection", "join", "suspension", "union"]
 
 class SimplicialComplex:
     __slots__ = (
-        "_facets", "_nonvoid", "_dim", "vertices",
+        "_facets", "_dim", "vertices",
         "_index", "_rows", "_faces", "_findex", "_maps", "_matchings",
     )
 
-    def __init__(self, facets: frozenset[frozenset], nonvoid: bool):
+    def __init__(self, facets: frozenset[frozenset]):
         self._facets = facets
-        self._nonvoid = nonvoid
-        self._dim = max((len(f) for f in facets), default=0) - 1 if nonvoid else -2
+        self._dim = max((len(f) for f in facets), default=-1) - 1
         vs: set = set()
         for f in facets:
             vs.update(f)
@@ -53,11 +53,7 @@ class SimplicialComplex:
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable]) -> "SimplicialComplex":
         """Build a complex from a family of faces (dominated ones dropped)."""
-        sets = {frozenset(f) for f in facets}
-        if not sets:
-            return cls(frozenset(), nonvoid=False)
-        maximal = _maximal_sets(sets)
-        return cls(frozenset(maximal), nonvoid=True)
+        return cls(frozenset(_maximal_sets({frozenset(f) for f in facets})))
 
     # -- basic queries -------------------------------------------------
 
@@ -67,11 +63,12 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return not self._nonvoid
+        return not self._facets
 
     @property
     def dim(self) -> int:
-        """Dimension: -1 for the complex {<empty face>}, -2 for the void one."""
+        """Dimension: -1 for the complex {<empty face>}, -2 for the void one
+        (no facet)."""
         return self._dim
 
     def has_vertex(self, v) -> bool:
@@ -87,8 +84,8 @@ class SimplicialComplex:
     def faces(self, k: int) -> tuple:
         """All k-faces as sorted vertex tuples, lexicographically ordered.
 
-        Degree -1 yields the single empty tuple when the complex is
-        nonvoid.  Each facet is held as a sorted row of positions in
+        Degree -1 yields the single empty tuple when the complex has a
+        facet.  Each facet is held as a sorted row of positions in
         ``vertices``; the (k+1)-column subsets of those rows (or of the
         (k+1)-faces' rows, once listed) are sorted and deduplicated in
         numpy, and since positions follow the vertex order, sorted rows
@@ -98,7 +95,7 @@ class SimplicialComplex:
         (('a', 'b'), ('a', 'c'), ('b', 'c'), ('c', 'd'))
         """
         if k == -1:
-            return ((),) if self._nonvoid else ()
+            return ((),) if self._facets else ()
         if k < -1 or k > self._dim:
             return ()
         if k not in self._faces:
@@ -110,14 +107,14 @@ class SimplicialComplex:
     def _face_rows(self, k: int) -> np.ndarray:
         """The k-faces as sorted, distinct rows of vertex positions, cached.
 
-        Degree -1 is the one empty row of a nonvoid complex; degrees with
-        no faces give no rows.
+        Degree -1 is the one empty row of a complex with a facet; degrees
+        with no faces give no rows.
         """
         rows = self._rows.get(k)
         if rows is not None:
             return rows
         if k < 0 or k > self._dim:
-            return np.zeros((int(k == -1 and self._nonvoid), max(k + 1, 0)), dtype=np.intp)
+            return np.zeros((int(k == -1 and not self.is_void), max(k + 1, 0)), dtype=np.intp)
         if self._index is None:
             self._index = _index_rows(self._facets, self.vertices)
         sources = [a for a in self._index[1] if a.shape[1] > k]
@@ -176,21 +173,15 @@ class SimplicialComplex:
         """
         if not self.has_vertex(v):
             raise ValueError(f"{v} is not a vertex")
-        return SimplicialComplex(
-            frozenset(f - {v} for f in self._facets if v in f), nonvoid=True
-        )
+        return SimplicialComplex(frozenset(f - {v} for f in self._facets if v in f))
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self._nonvoid == other._nonvoid
-            and self._facets == other._facets
-        )
+        return isinstance(other, SimplicialComplex) and self._facets == other._facets
 
     def __hash__(self):
-        return hash((self._nonvoid, self._facets))
+        return hash(self._facets)
 
     def __repr__(self):
         if self.is_void:
@@ -278,13 +269,11 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     Faces are unions of a face of each factor; the void complex
     annihilates, the complex {<empty face>} is the identity.
     """
-    if k1.is_void or k2.is_void:
-        return SimplicialComplex(frozenset(), nonvoid=False)
     overlap = set(k1.vertices) & set(k2.vertices)
     if overlap:
         raise ValueError(f"join factors share vertices: {sorted(overlap)}")
     facets = frozenset(f | g for f in k1.facets for g in k2.facets)
-    return SimplicialComplex(facets, nonvoid=True)
+    return SimplicialComplex(facets)
 
 
 def _fresh_pair(vertices: Sequence) -> tuple:
@@ -306,25 +295,17 @@ def _fresh_pair(vertices: Sequence) -> tuple:
 
 def suspension(k: SimplicialComplex) -> SimplicialComplex:
     """Join with a fresh two-point complex."""
-    if k.is_void:
-        return k
     a, b = _fresh_pair(k.vertices)
     poles = SimplicialComplex.from_facets([[a], [b]])
     return join(k, poles)
 
 
 def union(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
-    if k1.is_void:
-        return k2
-    if k2.is_void:
-        return k1
     return SimplicialComplex.from_facets(list(k1.facets) + list(k2.facets))
 
 
 def intersection(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """The complex of faces common to both (same vertex identity space)."""
-    if k1.is_void or k2.is_void:
-        return SimplicialComplex(frozenset(), nonvoid=False)
     if len(k1.facets) > len(k2.facets):
         k1, k2 = k2, k1
     common = {f & g for f in k1.facets for g in k2.facets}

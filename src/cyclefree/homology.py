@@ -345,23 +345,25 @@ def _sparse_eliminate(
 ):
     """Sparse row elimination over Z (``p == 0``) or over F_p (``p`` prime).
 
-    Returns ``(pivot_cols, leftover)``.  ``pivot_cols`` lists the column
-    of each pivot in pivot order.  A pivot row carries a unit on its
-    pivot column: +-1 over Z, any nonzero entry mod p.  Once a column is
-    pivoted on, every other row is zeroed in it, so the pivot rows (as
-    they stood when chosen) restricted to the pivot columns form a
-    triangular matrix with a unit diagonal; :class:`Presentation`
+    Returns ``(pivot_cols, touched, block)``.  ``pivot_cols`` lists the
+    column of each pivot in pivot order.  A pivot row carries a unit on
+    its pivot column: +-1 over Z, any nonzero entry mod p.  Once a
+    column is pivoted on, every other row is zeroed in it, so the pivot
+    rows (as they stood when chosen) restricted to the pivot columns
+    form a triangular matrix with a unit diagonal; :class:`Presentation`
     solves with them: a ``pivot_rows`` list, if given, receives them as
-    dicts, in pivot order.  ``leftover`` maps each other nonzero row to
-    its entries as they end, all zero on the pivot columns.  Over F_p
-    every nonzero entry can be a pivot, so nothing is left over.  Over Z
-    only +-1 entries are pivots, a row with none waits until an update
-    changes it, and the row operations are unimodular: the invariant
-    factors of the input are the pivots' 1s followed by those of the
-    leftover block.
+    dicts, in pivot order.  The other nonzero rows are left over, all
+    zero on the pivot columns; ``touched`` lists the columns they use,
+    sorted, and ``block`` is a dense object array holding each leftover
+    row as a column, whose rows follow ``touched`` (swapping rows and
+    columns keeps the Smith form).  Over F_p every nonzero entry can be
+    a pivot, so nothing is left over.  Over Z only +-1 entries are
+    pivots, a row with none waits until an update changes it, and the
+    row operations are unimodular: the invariant factors of the input
+    are the pivots' 1s followed by those of ``block``.
 
     Column ``keep``, if given, is reduced like any other but never holds
-    a pivot; a row left with entries in it alone is in ``leftover``.
+    a pivot; a row left with entries in it alone is left over.
 
     The matrix's forced pivots (row -> column, see :func:`_reduce`) come
     first, shortest row first by the lengths the rows start with; a
@@ -435,7 +437,13 @@ def _sparse_eliminate(
         pivot_cols.append(c)
         if pivot_rows is not None:
             pivot_rows.append(row)  # retired: no later step writes to it
-    return pivot_cols, rows
+    touched = sorted({j for row in rows.values() for j in row})
+    at = {j: r for r, j in enumerate(touched)}
+    block = np.zeros((len(touched), len(rows)), dtype=object)
+    for c, row in enumerate(rows.values()):
+        for j, v in row.items():
+            block[at[j], c] = v
+    return pivot_cols, touched, block
 
 
 def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
@@ -444,31 +452,16 @@ def rank_mod_p(matrix: SparseIntMatrix, p: int) -> int:
     return len(_sparse_eliminate(matrix, p)[0])
 
 
-def _leftover_block(leftover: dict[int, dict[int, int]]) -> tuple[list[int], np.ndarray]:
-    """The columns the sparse stage's leftover rows use, sorted, and those
-    rows as the columns of a dense array whose rows follow that list.
-
-    Swapping rows and columns keeps the Smith form.
-    """
-    touched = sorted({j for row in leftover.values() for j in row})
-    at = {j: r for r, j in enumerate(touched)}
-    dense = np.zeros((len(touched), len(leftover)), dtype=object)
-    for c, row in enumerate(leftover.values()):
-        for j, v in row.items():
-            dense[at[j], c] = v
-    return touched, dense
-
-
 def snf(matrix: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors of an integer matrix (Smith normal form diagonal):
-    unit pivots are split off sparsely, and whatever remains (entries all
-    of absolute value >= 2) is finished by the dense reduction.  The two
-    stages are glued by ``diag(1,...,1) (+) leftover``, whose invariant
-    factors are the 1s followed by those of the leftover block.
+    unit pivots are split off sparsely, and the leftover block (entries
+    all of absolute value >= 2, empty if nothing is left over) is finished
+    by the dense reduction.  The two stages are glued by
+    ``diag(1,...,1) (+) block``, whose invariant factors are the 1s
+    followed by those of the block.
     """
-    pivot_cols, leftover = _sparse_eliminate(matrix)
-    rest = dense_snf(_leftover_block(leftover)[1]) if leftover else ()
-    return (1,) * len(pivot_cols) + rest
+    pivot_cols, _, block = _sparse_eliminate(matrix)
+    return (1,) * len(pivot_cols) + dense_snf(block)
 
 
 def rank_z(matrix: SparseIntMatrix) -> int:
@@ -493,19 +486,17 @@ def _in_span(matrix: SparseIntMatrix, col: Mapping[int, int], p: int) -> bool:
     must lie in the lattice of M.  That lattice is contained in the one
     of M and r, with the same invariant factors iff the two are equal:
     otherwise the rank grows, or the cokernel's torsion order drops by
-    the index of the smaller lattice.
+    the index of the smaller lattice.  The z column is the last one, so
+    r is the leftover block's last row whenever it is nonzero.
     """
     j = matrix.ncols
     cols = {**matrix.cols, j: {i: v for i, v in col.items() if v}}
     extended = SparseIntMatrix(matrix.nrows, j + 1, cols)
     extended._forced = matrix._forced  # z's column is never a forced one
-    _, leftover = _sparse_eliminate(extended, p, keep=j)
-    if not any(j in row for row in leftover.values()):
+    _, touched, block = _sparse_eliminate(extended, p, keep=j)
+    if touched[-1:] != [j]:
         return True
-    if p:
-        return False
-    block = {i: {c: v for c, v in row.items() if c != j} for i, row in leftover.items()}
-    return dense_snf(_leftover_block(block)[1]) == dense_snf(_leftover_block(leftover)[1])
+    return not p and dense_snf(block[:-1]) == dense_snf(block)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,9 +1040,10 @@ class Presentation:
         # stage 1: the cycles of d_k
         self._faces = complex_.faces(k)
         back: list = []
-        pivots, left = _sparse_eliminate(boundary_matrix(complex_, k), pivot_rows=back)
+        pivots, self._touched, block = _sparse_eliminate(
+            boundary_matrix(complex_, k), pivot_rows=back
+        )
         self._back = tuple(zip(pivots, back))[::-1]
-        self._touched, block = _leftover_block(left)
         factors, u, uinv = _smith(block, left=True)
         skip = set(pivots).union(self._touched)
         self._free = [j for j in range(len(self._faces)) if j not in skip]
@@ -1061,14 +1053,13 @@ class Presentation:
         s = len(self._free) + len(self._kernel)
         # stage 2: the boundaries in cycle coordinates, as rows
         up = boundary_matrix(complex_, k + 1)
-        cols: dict[int, dict[int, int]] = {}
+        coords = SparseIntMatrix(up.ncols, s, {})
         for b, col in up.cols.items():
             for t, v in self._coords(col).items():
-                cols.setdefault(t, {})[b] = v
+                coords.cols.setdefault(t, {})[b] = v
         rows: list = []
-        pivots, left = _sparse_eliminate(SparseIntMatrix(up.ncols, s, cols), pivot_rows=rows)
+        pivots, self._touched2, block = _sparse_eliminate(coords, pivot_rows=rows)
         self._pivots = tuple(zip(pivots, rows))
-        self._touched2, block = _leftover_block(left)
         factors, u, uinv = _smith(block, left=True)
         skip = set(pivots).union(self._touched2)
         self._free2 = [t for t in range(s) if t not in skip]

@@ -353,15 +353,30 @@ def test_an_empty_morse_boundary_is_all_forced_pivots():
                     continue
                 sides.add((bool(below), bool(above)))
                 matched = int((match[k - 1] >= 0).sum())
-                pivots, leftover = _sparse_eliminate(_matched_boundary(c, k, s), p)
+                pivots, touched, block = _sparse_eliminate(_matched_boundary(c, k, s), p)
                 assert len(pivots) == matched
-                assert not leftover
+                assert touched == [] and block.shape == (0, 0)
                 field = None if p == 0 else p
                 assert _reduce(fresh(c), [k], field, s)[1][k] == (matched, ())
 
     check()
     # the draws reach each side of the rule alone
     assert {(True, False), (False, True)} <= sides
+
+
+def test_forced_pivots_come_first_shortest_starting_row_first():
+    """The forced pairs are pivoted on before any other column, in
+    ascending order of (the row's length as the matrix starts, row): a
+    queue beside the Markowitz heap, which the other rows wait in."""
+    m = _matched_boundary(omega(make_spec(6, 1)), 4, None)
+    length: dict = {}
+    for col in m.cols.values():
+        for i in col:
+            length[i] = length.get(i, 0) + 1
+    order = [m._forced[i] for _, i in sorted((length[i], i) for i in m._forced)]
+    pivots = _sparse_eliminate(m)[0]
+    assert (len(order), len(pivots)) == (3301, 3381)
+    assert pivots[: len(order)] == order
 
 
 @SETTINGS

@@ -33,6 +33,31 @@ def test_void_versus_empty_face():
     assert VOID != EMPTYFACE
 
 
+def test_void_means_no_facets():
+    # the facets alone decide: there is no second flag to disagree with them
+    void = SimplicialComplex(frozenset())
+    assert void.is_void and void.dim == -2 and void == VOID and hash(void) == hash(VOID)
+    assert void.faces(-1) == () and void._face_rows(-1).shape == (0, 0)
+    emptyface = SimplicialComplex(frozenset({frozenset()}))
+    assert not emptyface.is_void and emptyface.dim == -1 and emptyface == EMPTYFACE
+    assert emptyface.faces(-1) == ((),) and emptyface._face_rows(-1).shape == (1, 0)
+    assert homology(emptyface).nontrivial() == {-1: AbelianGroup(1)}
+    assert homology(void).nontrivial() == {}
+
+
+def test_void_arguments_give_the_void_complex():
+    # no facets in, none out: the facet formulas need no void branch
+    void, k = SimplicialComplex(frozenset()), TRIANGLE_BOUNDARY
+    for out in (
+        join(void, k), join(k, void), join(void, void),
+        intersection(void, k), intersection(k, void),
+        suspension(void), union(void, void),
+    ):
+        assert out == VOID and out.is_void and out.dim == -2
+    assert union(void, k) == k == union(k, void)
+    assert union(void, EMPTYFACE) == EMPTYFACE
+
+
 def test_from_facets_drops_dominated_faces():
     c = SimplicialComplex.from_facets(["ab", "b", "abc", ""])
     assert c.facets == frozenset({frozenset("abc")})

@@ -61,7 +61,7 @@ def test_negative_rows_roundtrip(tmp_path):
 
 
 def test_void_rejected():
-    void = SimplicialComplex(frozenset(), nonvoid=False)
+    void = SimplicialComplex(frozenset())
     with pytest.raises(ValueError, match="void"):
         format_complex(void)
 

@@ -229,13 +229,21 @@ class TestSmithNormalForm:
         assert _in_span(mat, {0: 1}, 3)
         assert not _in_span(mat, {0: 1}, 2)
 
+    def test_membership_when_a_leftover_row_has_its_only_entry_in_z(self):
+        # z = (0, 2) leaves row 1 as (0 | 2): nonzero in z alone
+        mat = SparseIntMatrix(2, 1, {0: {0: 2}})
+        assert not _in_span(mat, {1: 2}, 0)
+        assert not _in_span(mat, {1: 2}, 3)
+        assert _in_span(mat, {0: 4}, 0)
+        assert not _in_span(mat, {0: 3}, 0)
+
     @pytest.mark.parametrize("p", [1, 4, 9, -2])
     def test_non_prime_coefficients_are_rejected(self, p):
         gen, _ = Presentation(RP2, 1).generators[0]
         calls = [
             lambda: homology(RP2, coefficients=p),
             lambda: homology(EMPTYFACE, coefficients=p),  # no map to reduce
-            lambda: homology(SimplicialComplex(frozenset(), nonvoid=False), coefficients=p),
+            lambda: homology(SimplicialComplex(frozenset()), coefficients=p),
             lambda: betti_numbers(RP2, p),
             lambda: betti_numbers(EMPTYFACE, p),
             lambda: is_boundary(gen, RP2, mod=p),
@@ -260,7 +268,7 @@ class TestSmithNormalForm:
         calls = [
             lambda: homology(RP2, coefficients=3.0),
             lambda: homology(EMPTYFACE, coefficients=3.0),
-            lambda: homology(SimplicialComplex(frozenset(), nonvoid=False), coefficients=3.0),
+            lambda: homology(SimplicialComplex(frozenset()), coefficients=3.0),
             lambda: betti_numbers(EMPTYFACE, 3.0),
             lambda: is_boundary(gen, RP2, mod=3.0),
             lambda: rank_mod_p(boundary_matrix(RP2, 1), 3.0),
@@ -334,7 +342,7 @@ class TestKnownHomology:
         assert homology(EMPTYFACE).nontrivial() == {-1: AbelianGroup(1)}
 
     def test_void_complex(self):
-        void = SimplicialComplex(frozenset(), nonvoid=False)
+        void = SimplicialComplex(frozenset())
         assert homology(void).nontrivial() == {}
         assert homology(void, coefficients=3).groups == {}
         with pytest.raises(ValueError, match="got 0"):

@@ -166,26 +166,33 @@ def test_sparse_elimination_contract(pair, p, keep_last):
     dense, sparse = pair
     keep = sparse.ncols - 1 if keep_last else None
     rows: list = []
-    pivots, leftover = _sparse_eliminate(sparse, p, keep=keep, pivot_rows=rows)
+    pivots, touched, block = _sparse_eliminate(sparse, p, keep=keep, pivot_rows=rows)
     assert len(rows) == len(pivots) == len(set(pivots))
     assert keep not in pivots
     for s, (c, row) in enumerate(zip(pivots, rows)):
         # a unit on the pivot column, nothing on the earlier pivot columns
         assert 0 < row[c] < p if p else row[c] in (1, -1)
         assert not set(row) & set(pivots[:s])
-    for row in leftover.values():
-        assert row and not set(row) & set(pivots)
-        rest = [v for j, v in row.items() if j != keep]
-        if p:
-            assert not rest
-        else:
-            assert all(abs(v) >= 2 for v in rest)
+    # the leftover rows are the block's columns, its rows the touched columns
+    assert touched == sorted(set(touched)) and not set(touched) & set(pivots)
+    assert block.dtype == object and block.shape[0] == len(touched)
+    assert all(block[:, c].any() for c in range(block.shape[1]))
+    assert all(line.any() for line in block)  # each touched column is used
+    rest = [v for j, line in zip(touched, block) if j != keep for v in line if v]
+    if p:
+        assert not rest
+    else:
+        assert all(abs(v) >= 2 for v in rest)
     if p and keep is None:
-        assert not leftover
+        assert block.shape == (0, 0)
     if not p:
         # unimodular row operations keep the Smith form
         stacked = [[row.get(j, 0) for j in range(sparse.ncols)] for row in rows]
-        stacked += [[row.get(j, 0) for j in range(sparse.ncols)] for row in leftover.values()]
+        at = {j: r for r, j in enumerate(touched)}
+        stacked += [
+            [block[at[j], c] if j in at else 0 for j in range(sparse.ncols)]
+            for c in range(block.shape[1])
+        ]
         assert dense_snf(stacked) == dense_snf(dense)
 
 
