@@ -514,29 +514,45 @@ def _smith(a, left: bool = False):
     past ``len(factors)`` are zero.  Untracked, u and uinv are None.
     Only one side is ever needed: the right transform of a is the
     transpose of the left one of a.T, so the rows of u past the rank
-    span the kernel of a.T (see :class:`Presentation`).  The input is
-    not modified; arrays have dtype object, so arithmetic stays
-    exact.
+    span the kernel of a.T (see :class:`Presentation`).  ``a`` is a 2-D
+    table of integers (Python ints, numpy integers or bools) and is not
+    modified: the work is done on one copy of dtype object, so
+    arithmetic stays exact.
 
-    Each pivot is a smallest nonzero entry of the remaining block: its
-    first +-1 row by row, read off a boolean mask of the +-1 entries that
-    every update keeps current, and only failing that a least nonzero
-    entry.  Row and column steps subtract outer products, restricted to
-    the nonzero rows and columns of the pivot column and row; remainders
-    left behind become the next, smaller pivot.  A pivot of absolute
-    value 1 divides everything.  Any other pivot is checked against the
-    rest of the block, and a row it does not divide is added to the
-    pivot row before reducing again, which keeps the diagonal a divisor
-    chain.  Shares no code with the sparse elimination, so it can serve
-    as its oracle.
+    *Units first, in place.*  While the live block (at first all of a)
+    holds a +-1, its first one row by row is the next pivot, read off a
+    boolean mask of the +-1 entries that every update keeps current.
+    One row step clears the pivot's column in the live rows, and the
+    pivot's row and column then leave the live block where they stand,
+    tracked by two boolean masks.  No column step follows: with the
+    column zero below the pivot it would change only the pivot row, and
+    a unit divides everything, so it needs no divisibility check.  When
+    no +-1 is left, one permutation puts these pivots at the head of
+    the diagonal, in the order taken, and the live block after them,
+    rows and columns each in their own order; the rows of u and the
+    columns of uinv follow the rows of a.  The head is then upper
+    triangular with a +-1 diagonal and zero below, so column operations
+    (part of v) turn it into an identity and clear the entries right of
+    it without touching the live block: each of its factors is 1.
+
+    *The rest, by slices.*  Each further pivot is a smallest nonzero
+    entry of the remaining block a[t:, t:] (again a first +-1 if one
+    has appeared), swapped to (t, t).  Row and column steps subtract
+    outer products, restricted to the nonzero rows and columns of the
+    pivot column and row; remainders left behind become the next,
+    smaller pivot.  A pivot of absolute value 1 takes its row step only,
+    as above.  Any other pivot is checked against the rest of the block,
+    and a row it does not divide is added to the pivot row before
+    reducing again, which keeps the diagonal a divisor chain.  Shares no
+    code with the sparse elimination, so it can serve as its oracle.
     """
+    a = np.asarray(a)
+    unit = (a == 1) | (a == -1)  # where a has a +-1 entry, kept up to date
     a = np.array(a, dtype=object)
     m, n = a.shape
     u = uinv = None
     if left:
         u, uinv = np.eye(m, dtype=object), np.eye(m, dtype=object)
-
-    unit = np.abs(a) == 1  # where a has a +-1 entry, kept up to date
 
     def update(ix, delta):  # a[ix] -= delta
         a[ix] = block = a[ix] - delta
@@ -544,15 +560,15 @@ def _smith(a, left: bool = False):
 
     def row_op(dst, src, q):  # a[dst] -= q (x) a[src], src not in dst
         nz = np.flatnonzero(a[src])
-        update(np.ix_(dst, nz), np.outer(q, a[src, nz]))
+        update((dst[:, None], nz), q[:, None] * a[src, nz])
         if left:
             nz = np.flatnonzero(u[src])
-            u[np.ix_(dst, nz)] -= np.outer(q, u[src, nz])
+            u[dst[:, None], nz] -= q[:, None] * u[src, nz]
             uinv[:, src] += uinv[:, dst] @ q
 
     def col_op(dst, src, p):  # a[:, dst] -= a[:, src] (x) p, src not in dst
         nz = np.flatnonzero(a[:, src])
-        update(np.ix_(nz, dst), np.outer(a[nz, src], p))
+        update((nz[:, None], dst), a[nz, src][:, None] * p)
 
     def to_pivot(t, i, j):  # move entry (i, j) to (t, t)
         if i != t:
@@ -575,8 +591,31 @@ def _smith(a, left: bool = False):
         k = int(np.argmin(np.abs(a[ii + t, jj + t])))
         return int(ii[k]) + t, int(jj[k]) + t
 
-    factors: list[int] = []
-    t = 0
+    # Units in place.  A pivot's row leaves the mask, and its column is
+    # zero on the live rows, so the mask's first +-1 is a live one.
+    live_rows, live_cols = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+    rows: list[int] = []
+    cols: list[int] = []
+    while a.size:
+        i, j = divmod(int(np.argmax(unit)), n)
+        if not unit[i, j]:
+            break
+        live_rows[i] = live_cols[j] = unit[i] = False
+        below = np.flatnonzero(a[:, j])
+        below = below[live_rows[below]]
+        if len(below):
+            row_op(below, i, a[below, j] * a[i, j])  # a +-1 is its own inverse
+        rows.append(i)
+        cols.append(j)
+    factors = [1] * len(rows)
+    if rows:
+        rows += np.flatnonzero(live_rows).tolist()
+        cols += np.flatnonzero(live_cols).tolist()
+        a, unit = a[np.ix_(rows, cols)], unit[np.ix_(rows, cols)]
+        if left:
+            u, uinv = u[rows], uinv[:, rows]
+
+    t = len(factors)
     while t < m and t < n:
         at = smallest(t)
         if at is None:
@@ -587,13 +626,13 @@ def _smith(a, left: bool = False):
             below = np.flatnonzero(a[t + 1:, t]) + t + 1
             if len(below):
                 row_op(below, t, a[below, t] // piv)
+            if piv in (1, -1):
+                break
             right_of = np.flatnonzero(a[t, t + 1:]) + t + 1
             if len(right_of):
                 col_op(right_of, t, a[t, right_of] // piv)
-            if piv in (1, -1):
-                break
-            rest = [(abs(a[i, t]), i, t) for i in below if a[i, t]]
-            rest += [(abs(a[t, j]), t, j) for j in right_of if a[t, j]]
+            rest = [(abs(x), i, t) for i, x in zip(below, a[below, t]) if x]
+            rest += [(abs(x), t, j) for j, x in zip(right_of, a[t, right_of]) if x]
             if rest:  # remainders, all smaller than the pivot
                 _, i, j = min(rest)
                 to_pivot(t, int(i), int(j))
@@ -615,13 +654,28 @@ def _smith(a, left: bool = False):
 def dense_snf(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Smith normal form of a dense integer matrix.
 
-    Returns the positive invariant factors d_1 | d_2 | ... .  Kept free
-    of any sparse-elimination code on purpose: this is the oracle the
-    sparse route is checked against.
+    Returns the positive invariant factors d_1 | d_2 | ... .  ``rows``
+    is a 2-D table (a list of equal-length rows, or an array) of
+    integers: Python ints of any size, numpy integers or bools.  A
+    non-integer entry raises ``TypeError``, as ``operator.index`` does,
+    and anything that is not a 2-D table raises ``ValueError``; an
+    empty table (no rows, or rows of length 0) gives ().  Entries are
+    checked one by one only when numpy reads the table as objects.
+    Kept free of any sparse-elimination code on purpose: this is the
+    oracle the sparse route is checked against.
     """
-    a = np.array(rows, dtype=object)
-    if a.size == 0:
+    try:
+        a = np.asarray(rows)
+    except ValueError:  # numpy refuses rows of unequal lengths
+        raise ValueError("dense_snf needs a 2-D table; rows differ in length") from None
+    if a.size == 0 and a.ndim <= 2:
         return ()
+    if a.ndim != 2:
+        raise ValueError(f"dense_snf needs a 2-D table, not one of shape {a.shape}")
+    if a.dtype == object:
+        a = np.frompyfunc(operator.index, 1, 1)(a)
+    elif a.dtype.kind not in "biu":
+        raise TypeError(f"dense_snf needs integer entries, not {a.dtype}")
     return tuple(_smith(a)[0])
 
 

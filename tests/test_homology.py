@@ -198,6 +198,44 @@ class TestSmithNormalForm:
         assert dense_snf([[4, 0], [0, 6]]) == (2, 12)
         assert dense_snf([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
 
+    def test_unit_that_appears_only_as_a_remainder(self):
+        # no +-1 at the start, so the unit phase takes nothing; the 1 is
+        # left by the first row step and taken in the slices
+        assert dense_snf([[2, 3], [4, 5]]) == (1, 2)
+
+    def test_unit_pivot_row_keeps_entries_right_of_its_pivot(self):
+        # the 1 at (0, 0) clears row 3 and leaves row 0's 1 at (0, 1) in
+        # place; a 2 and a 4 are then pivots of the slices below it
+        a = np.array([[1, 1, 0], [0, 2, 0], [0, 0, 4], [1, 3, 4]], dtype=object)
+        factors, u, uinv = _smith(a, left=True)
+        assert factors == [1, 2, 4]
+        assert dense_snf(a.tolist()) == (1, 2, 4)
+        assert (u @ uinv == np.eye(4, dtype=int)).all()
+        assert not np.count_nonzero((u @ a)[3:])
+
+    @pytest.mark.parametrize(
+        "rows", [[[0.5]], [[1.5, 2]], [["a"]], [[1, "a"]], [[1, None]], [[2**70, 0.5]]]
+    )
+    def test_dense_snf_rejects_non_integer_entries(self, rows):
+        with pytest.raises(TypeError):
+            dense_snf(rows)
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [1, 2], 5, [[[1]]]])
+    def test_dense_snf_rejects_what_is_not_a_table(self, rows):
+        with pytest.raises(ValueError, match="2-D table"):
+            dense_snf(rows)
+
+    def test_dense_snf_takes_integers_of_every_kind(self):
+        assert dense_snf([]) == dense_snf([[]]) == dense_snf(np.zeros((0, 3))) == ()
+        assert dense_snf([[2**70, 2**71]]) == (2**70,)
+        assert dense_snf([[True, False], [True, True]]) == (1, 1)
+        assert dense_snf(np.array([[2, 4], [6, 8]], dtype=np.int8)) == (2, 4)
+        assert dense_snf(np.array([[2**64 - 1]], dtype=np.uint64)) == (2**64 - 1,)
+        # numpy integers held as objects become Python ints: 2^40 3^26
+        # overflows int64
+        big = np.array([[np.int64(2**40), 0], [0, np.int64(3**26)]], dtype=object)
+        assert dense_snf(big) == (1, 2**40 * 3**26)
+
     def test_dense_route_shares_no_code_with_the_sparse_one(self):
         def names(code):
             out = set(code.co_names)

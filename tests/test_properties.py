@@ -130,10 +130,8 @@ def test_dense_smith_form_equals_determinantal_divisors(pair):
     assert dense_snf(dense) == _determinantal_factors(dense)
 
 
-@SETTINGS
-@given(st.one_of(matrices(), matrices(entries=NO_UNITS)))
-def test_smith_transforms_diagonalise(pair):
-    dense, _ = pair
+def _assert_smith_transforms(dense):
+    """Check both tracked transforms of ``dense``; return its factors."""
     a = np.array(dense, dtype=object)
     m = a.shape[0]
     factors, u, uinv = _smith(a, left=True)
@@ -148,6 +146,28 @@ def test_smith_transforms_diagonalise(pair):
     assert all(f > 0 for f in factors)
     assert all(g % f == 0 for f, g in zip(factors, factors[1:]))
     assert (a == np.array(dense, dtype=object)).all()  # input left as it was
+    return factors
+
+
+@SETTINGS
+@given(st.one_of(matrices(), matrices(entries=NO_UNITS)))
+def test_smith_transforms_diagonalise(pair):
+    _assert_smith_transforms(pair[0])
+
+
+# mostly zeros and units, so that the in-place unit phase takes most
+# pivots and leaves pivot rows with entries right of their pivot
+UNITS_FIRST = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+
+
+@SETTINGS
+@given(matrices(max_size=8, entries=UNITS_FIRST))
+def test_smith_with_units_in_place_agrees_with_the_sparse_route(pair):
+    dense, sparse = pair
+    factors = _assert_smith_transforms(dense)
+    plain, u, uinv = _smith(dense)
+    assert u is None and uinv is None
+    assert tuple(plain) == tuple(factors) == snf(sparse)
 
 
 @SETTINGS
