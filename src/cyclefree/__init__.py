@@ -11,8 +11,8 @@ The package is organized around a small pipeline:
     and intersections.
 ``homology``
     Chains, boundary matrices, Smith normal form (sparse front end and
-    one independent dense routine, which also canonicalises torsion),
-    integral and mod-p homology, cycle and boundary tests,
+    one independent dense routine), abelian groups in invariant-factor
+    form, integral and mod-p homology, cycle and boundary tests,
     presentations with explicit generators, and induced maps of
     inclusions.
 ``builders``

@@ -14,8 +14,8 @@ The second route, :func:`dense_snf`, runs the one dense Smith routine
 (vectorised rank-1 updates on numpy object arrays) on the full matrix;
 it shares no elimination code with the sparse route and serves as an
 oracle in the test suite.  The same dense routine finishes the sparse
-route's leftover block and canonicalises torsion (the Smith form of a
-diagonal of orders is their invariant-factor chain).
+route's leftover block.  :class:`AbelianGroup` puts torsion in
+invariant-factor form with a pairwise gcd/lcm pass and no matrix.
 
 Presentations (generator cycles, class coordinates, induced maps) run
 on the sparse route too.  The pivot rows of one elimination of d_k
@@ -54,6 +54,7 @@ as one more column that never holds a pivot (see :func:`_in_span`).
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -97,8 +98,10 @@ class AbelianGroup:
     canonicalized, so ``AbelianGroup(0, (2, 3)) == AbelianGroup(0, (6,))``.
     An order 0 is the cyclic group Z, one more free summand, so
     ``AbelianGroup(0, (0, 2)) == AbelianGroup(1, (2,))``.  The canonical
-    torsion is the invariant-factor chain of the nonzero orders: the
-    factors > 1 of the Smith form of diag(|orders|).
+    torsion is the invariant-factor chain of the nonzero orders, the
+    factors > 1 of the Smith form of diag(|orders|): Z/a + Z/b is
+    Z/gcd + Z/lcm, and one such step on each pair i < j, in order,
+    leaves t[i] dividing every later entry.
     """
 
     rank: int = 0
@@ -110,9 +113,12 @@ class AbelianGroup:
             raise ValueError("rank must be nonnegative")
         orders = [abs(operator.index(t)) for t in self.torsion]
         object.__setattr__(self, "rank", rank + orders.count(0))
-        orders = [t for t in orders if t]
-        chain = _smith(np.diag(np.array(orders, dtype=object)))[0] if orders else ()
-        object.__setattr__(self, "torsion", tuple(f for f in chain if f > 1))
+        t = [x for x in orders if x]
+        for i in range(len(t)):
+            for j in range(i + 1, len(t)):
+                g = math.gcd(t[i], t[j])
+                t[i], t[j] = g, t[i] // g * t[j]
+        object.__setattr__(self, "torsion", tuple(x for x in t if x > 1))
 
     @classmethod
     def direct_sum(cls, groups: Iterable["AbelianGroup"]) -> "AbelianGroup":
@@ -139,7 +145,7 @@ class AbelianGroup:
         return f"AbelianGroup({self.rank}, {self.torsion})"
 
 
-TRIVIAL_GROUP = AbelianGroup(0)  # no orders, so no call to _smith, defined below
+TRIVIAL_GROUP = AbelianGroup(0)
 
 # ---------------------------------------------------------------------------
 # chains
@@ -519,32 +525,27 @@ def _smith(a, left: bool = False):
     modified: the work is done on one copy of dtype object, so
     arithmetic stays exact.
 
-    *Units first, in place.*  While the live block (at first all of a)
-    holds a +-1, its first one row by row is the next pivot, read off a
-    boolean mask of the +-1 entries that every update keeps current.
-    One row step clears the pivot's column in the live rows, and the
-    pivot's row and column then leave the live block where they stand,
-    tracked by two boolean masks.  No column step follows: with the
-    column zero below the pivot it would change only the pivot row, and
-    a unit divides everything, so it needs no divisibility check.  When
-    no +-1 is left, one permutation puts these pivots at the head of
-    the diagonal, in the order taken, and the live block after them,
-    rows and columns each in their own order; the rows of u and the
-    columns of uinv follow the rows of a.  The head is then upper
-    triangular with a +-1 diagonal and zero below, so column operations
-    (part of v) turn it into an identity and clear the entries right of
-    it without touching the live block: each of its factors is 1.
-
-    *The rest, by slices.*  Each further pivot is a smallest nonzero
-    entry of the remaining block a[t:, t:] (again a first +-1 if one
-    has appeared), swapped to (t, t).  Row and column steps subtract
-    outer products, restricted to the nonzero rows and columns of the
-    pivot column and row; remainders left behind become the next,
-    smaller pivot.  A pivot of absolute value 1 takes its row step only,
-    as above.  Any other pivot is checked against the rest of the block,
-    and a row it does not divide is added to the pivot row before
-    reducing again, which keeps the diagonal a divisor chain.  Shares no
-    code with the sparse elimination, so it can serve as its oracle.
+    Every pivot is taken where it stands, and the working copy is
+    always u A v minus the pivots recorded so far, each a factor at its
+    (row, column) with u's row signed to make it positive.  The next
+    pivot is the first +-1 row by row, read off a boolean mask of the
+    +-1 entries that every update keeps current, or else a least
+    nonzero |entry|.  A row step, an outer-product update over the
+    nonzero entries of the pivot's row, clears its column in every row
+    that has an entry there.  A +-1 divides everything, so it needs
+    nothing more.  Any other pivot also takes a column step, over every
+    row with an entry in its column, since the remainders of the row
+    step sit there; a remainder left in its row or column becomes the
+    next, smaller pivot where it stands.  A pivot with none left is
+    checked against the whole array, and a row it does not divide is
+    added to the pivot row before reducing again, which keeps the
+    factors a divisor chain.  A finished pivot's row is then zeroed:
+    its column is zero everywhere else, so this is a column step (part
+    of v) and the recording of the pivot.  Only the live block is left
+    nonzero, so no mask or offset marks it.  At the end one permutation
+    puts the pivot rows first in u, in the order taken, and the columns
+    of uinv alike.  Shares no code with the sparse elimination, so it
+    can serve as its oracle.
     """
     a = np.asarray(a)
     unit = (a == 1) | (a == -1)  # where a has a +-1 entry, kept up to date
@@ -570,84 +571,46 @@ def _smith(a, left: bool = False):
         nz = np.flatnonzero(a[:, src])
         update((nz[:, None], dst), a[nz, src][:, None] * p)
 
-    def to_pivot(t, i, j):  # move entry (i, j) to (t, t)
-        if i != t:
-            for x in (a, unit) + ((u,) if left else ()):
-                x[[t, i], :] = x[[i, t], :]
-            if left:
-                uinv[:, [t, i]] = uinv[:, [i, t]]
-        if j != t:
-            for x in (a, unit):
-                x[:, [t, j]] = x[:, [j, t]]
-
-    def smallest(t):  # position of a least nonzero |entry| in the block
-        k = int(np.argmax(unit[t:, t:]))  # first +-1, row by row
-        i, j = divmod(k, n - t)
-        if unit[t + i, t + j]:
-            return t + i, t + j
-        ii, jj = np.nonzero(a[t:, t:])
-        if not len(ii):
-            return None
-        k = int(np.argmin(np.abs(a[ii + t, jj + t])))
-        return int(ii[k]) + t, int(jj[k]) + t
-
-    # Units in place.  A pivot's row leaves the mask, and its column is
-    # zero on the live rows, so the mask's first +-1 is a live one.
-    live_rows, live_cols = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+    factors: list[int] = []
     rows: list[int] = []
-    cols: list[int] = []
     while a.size:
-        i, j = divmod(int(np.argmax(unit)), n)
+        i, j = divmod(int(np.argmax(unit)), n)  # first +-1, row by row
         if not unit[i, j]:
-            break
-        live_rows[i] = live_cols[j] = unit[i] = False
-        below = np.flatnonzero(a[:, j])
-        below = below[live_rows[below]]
-        if len(below):
-            row_op(below, i, a[below, j] * a[i, j])  # a +-1 is its own inverse
-        rows.append(i)
-        cols.append(j)
-    factors = [1] * len(rows)
-    if rows:
-        rows += np.flatnonzero(live_rows).tolist()
-        cols += np.flatnonzero(live_cols).tolist()
-        a, unit = a[np.ix_(rows, cols)], unit[np.ix_(rows, cols)]
-        if left:
-            u, uinv = u[rows], uinv[:, rows]
-
-    t = len(factors)
-    while t < m and t < n:
-        at = smallest(t)
-        if at is None:
-            break
-        to_pivot(t, *at)
+            ii, jj = np.nonzero(a)
+            if not len(ii):
+                break
+            k = int(np.argmin(np.abs(a[ii, jj])))
+            i, j = int(ii[k]), int(jj[k])
         while True:
-            piv = a[t, t]
-            below = np.flatnonzero(a[t + 1:, t]) + t + 1
-            if len(below):
-                row_op(below, t, a[below, t] // piv)
+            piv = a[i, j]
+            in_col = np.flatnonzero(a[:, j])
+            in_col = in_col[in_col != i]
+            if len(in_col):
+                row_op(in_col, i, a[in_col, j] // piv)
             if piv in (1, -1):
                 break
-            right_of = np.flatnonzero(a[t, t + 1:]) + t + 1
-            if len(right_of):
-                col_op(right_of, t, a[t, right_of] // piv)
-            rest = [(abs(x), i, t) for i, x in zip(below, a[below, t]) if x]
-            rest += [(abs(x), t, j) for j, x in zip(right_of, a[t, right_of]) if x]
+            in_row = np.flatnonzero(a[i])
+            in_row = in_row[in_row != j]
+            if len(in_row):
+                col_op(in_row, j, a[i, in_row] // piv)
+            rest = [(abs(x), r, j) for r, x in zip(in_col, a[in_col, j]) if x]
+            rest += [(abs(x), i, c) for c, x in zip(in_row, a[i, in_row]) if x]
             if rest:  # remainders, all smaller than the pivot
-                _, i, j = min(rest)
-                to_pivot(t, int(i), int(j))
+                _, i, j = map(int, min(rest))
                 continue
-            bad = np.flatnonzero((a[t + 1:, t + 1:] % piv != 0).any(axis=1))
+            bad = np.flatnonzero((a % piv != 0).any(axis=1))
             if not len(bad):
                 break
-            row_op(np.array([t]), int(bad[0]) + t + 1, np.array([-1], dtype=object))
-        if a[t, t] < 0:
-            a[t, :] = -a[t, :]
-            if left:
-                u[t, :] = -u[t, :]
-                uinv[:, t] = -uinv[:, t]
-        factors.append(int(a[t, t]))
-        t += 1
+            row_op(np.array([i]), int(bad[0]), np.array([-1], dtype=object))
+        if piv < 0 and left:
+            u[i], uinv[:, i] = -u[i], -uinv[:, i]
+        factors.append(abs(int(piv)))
+        rows.append(i)
+        a[i, :] = 0
+        unit[i, :] = False
+    if left:
+        order = rows + sorted(set(range(m)).difference(rows))
+        u, uinv = u[order], uinv[:, order]
     return factors, u, uinv
 
 

@@ -199,19 +199,30 @@ class TestSmithNormalForm:
         assert dense_snf([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
 
     def test_unit_that_appears_only_as_a_remainder(self):
-        # no +-1 at the start, so the unit phase takes nothing; the 1 is
-        # left by the first row step and taken in the slices
+        # no +-1 at the start, so the first pivot is the 2; the 1 is a
+        # remainder of its column step and becomes the next pivot where
+        # it stands
         assert dense_snf([[2, 3], [4, 5]]) == (1, 2)
 
     def test_unit_pivot_row_keeps_entries_right_of_its_pivot(self):
-        # the 1 at (0, 0) clears row 3 and leaves row 0's 1 at (0, 1) in
-        # place; a 2 and a 4 are then pivots of the slices below it
+        # the 1 at (0, 0) clears row 3 and takes no column step, so row
+        # 0's 1 at (0, 1) is zeroed with the finished row, not taken as
+        # a pivot; a 2 and a 4 are then the pivots left
         a = np.array([[1, 1, 0], [0, 2, 0], [0, 0, 4], [1, 3, 4]], dtype=object)
         factors, u, uinv = _smith(a, left=True)
         assert factors == [1, 2, 4]
         assert dense_snf(a.tolist()) == (1, 2, 4)
         assert (u @ uinv == np.eye(4, dtype=int)).all()
         assert not np.count_nonzero((u @ a)[3:])
+
+    def test_row_transform_makes_negative_pivots_positive(self):
+        # each pivot of this diagonal is taken where it stands with no
+        # step at all, so u alone must turn it into the Smith form
+        a = np.diag(np.array([-1, -2, -6], dtype=object))
+        factors, u, uinv = _smith(a, left=True)
+        assert factors == [1, 2, 6]
+        assert (u @ a == np.diag(factors)).all()
+        assert (u @ uinv == np.eye(3, dtype=int)).all()
 
     @pytest.mark.parametrize(
         "rows", [[[0.5]], [[1.5, 2]], [["a"]], [[1, "a"]], [[1, None]], [[2**70, 0.5]]]

@@ -155,8 +155,8 @@ def test_smith_transforms_diagonalise(pair):
     _assert_smith_transforms(pair[0])
 
 
-# mostly zeros and units, so that the in-place unit phase takes most
-# pivots and leaves pivot rows with entries right of their pivot
+# mostly zeros and units, so that +-1 pivots, which take no column
+# step, come first and leave entries beside them in their rows
 UNITS_FIRST = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
 
 
@@ -374,6 +374,28 @@ def test_invariant_factors_form_a_divisor_chain(torsion):
     diag = [[torsion[i] if i == j else 0 for j in range(n)] for i in range(n)]
     want = tuple(f for f in _determinantal_factors(diag) if f > 1) if n else ()
     assert AbelianGroup(0, torsion).torsion == want
+
+
+# orders past int64, with factors in common so that gcds above 1 occur
+_HUGE_ORDERS = st.builds(
+    lambda k, e, sign: sign * k * 2**e,
+    st.integers(1, 12),
+    st.integers(64, 70),
+    st.sampled_from([1, -1]),
+)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(st.integers(-12, 12), _HUGE_ORDERS), max_size=10))
+@example([0, 1, -1, 0, 2**64, -3 * 2**65, 6, -4])
+def test_torsion_is_the_dense_smith_form_of_the_orders(orders):
+    # the gcd/lcm canonicalisation against the dense Smith routine on
+    # the diagonal of the nonzero |orders|; each 0 is a free summand
+    nonzero = np.array([abs(t) for t in orders if t], dtype=object)
+    chain = dense_snf(np.diag(nonzero))
+    group = AbelianGroup(0, orders)
+    assert group.rank == orders.count(0)
+    assert group.torsion == tuple(f for f in chain if f > 1)
 
 
 @SETTINGS
